@@ -1,0 +1,11 @@
+//go:build !linux
+
+package main
+
+import "time"
+
+func fsType(string) string { return "unknown" }
+
+func cpuTime() time.Duration { return 0 }
+
+func peakRSSMiB() float64 { return 0 }
