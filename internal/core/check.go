@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"ode/internal/btree"
 	"ode/internal/oid"
 )
 
@@ -158,8 +159,8 @@ func (tx *shardTx) CheckObject(o oid.OID) error {
 // CheckAll validates every object in the database plus the structural
 // health of each index tree.
 func (tx *shardTx) CheckAll() error {
-	for _, t := range []interface{ Check() error }{
-		tx.objTable, tx.verIdx, tx.tempIdx, tx.catalog, tx.extent, tx.config, tx.vidIdx,
+	for _, t := range []*btree.Tree{
+		&tx.objTable, &tx.verIdx, &tx.tempIdx, &tx.catalog, &tx.extent, &tx.config, &tx.vidIdx,
 	} {
 		if err := t.Check(); err != nil {
 			return err

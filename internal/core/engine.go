@@ -179,10 +179,12 @@ type Engine struct {
 	// heapSpace holds each shard's heap free-space cache, shared across
 	// write transactions (writers on one shard are serialised by its
 	// writer mutex; hsMu orders the reset-after-abort against the next
-	// writer's pickup). The slice grows under hsMu when a reshard adds
-	// physical shards.
-	hsMu      sync.Mutex
-	heapSpace []*storage.HeapState
+	// writer's pickup). heapRewind marks the caches a rollback went
+	// under; the shard's next writer rewinds its sweep. The slices grow
+	// under hsMu when a reshard adds physical shards.
+	hsMu       sync.Mutex
+	heapSpace  []*storage.HeapState
+	heapRewind []bool
 
 	// alloc holds the per-shard batched id-allocation leases (alloc.go).
 	// Like heapSpace, each shard's state is used only under that shard's
@@ -222,13 +224,13 @@ type shardTx struct {
 	bus  *trigger.Bus
 	opts Options
 
-	objTable *btree.Tree // oid → object header
-	verIdx   *btree.Tree // oid+vid → version record
-	tempIdx  *btree.Tree // oid+stamp → vid
-	catalog  *btree.Tree // type names ↔ ids (authoritative on shard 0)
-	extent   *btree.Tree // typeid+oid → ()
-	config   *btree.Tree // configurations, contexts, annotations
-	vidIdx   *btree.Tree // vid → oid
+	objTable btree.Tree // oid → object header
+	verIdx   btree.Tree // oid+vid → version record
+	tempIdx  btree.Tree // oid+stamp → vid
+	catalog  btree.Tree // type names ↔ ids (authoritative on shard 0)
+	extent   btree.Tree // typeid+oid → ()
+	config   btree.Tree // configurations, contexts, annotations
+	vidIdx   btree.Tree // vid → oid
 
 	// indexes caches named secondary-index trees opened by this
 	// transaction (roots live in shard 0's catalog tree).
@@ -260,12 +262,13 @@ func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
 	}
 	phys := c.NumShards()
 	e := &Engine{
-		c:         c,
-		single:    phys == 1,
-		bus:       trigger.NewBus(),
-		opts:      opts,
-		m:         c.Metrics(),
-		heapSpace: make([]*storage.HeapState, phys),
+		c:          c,
+		single:     phys == 1,
+		bus:        trigger.NewBus(),
+		opts:       opts,
+		m:          c.Metrics(),
+		heapSpace:  make([]*storage.HeapState, phys),
+		heapRewind: make([]bool, phys),
 	}
 	for i := range e.heapSpace {
 		e.heapSpace[i] = storage.NewHeapState()
@@ -360,14 +363,13 @@ func (e *Engine) newShardTx(v *storage.TxView, hs *storage.HeapState, rt *Tx, s 
 		heap:     storage.NewHeap(v, hs),
 		bus:      e.bus,
 		opts:     e.opts,
-		objTable: btree.Open(v, v.Root(rootObjTable)),
-		verIdx:   btree.Open(v, v.Root(rootVerIdx)),
-		tempIdx:  btree.Open(v, v.Root(rootTempIdx)),
-		catalog:  btree.Open(v, v.Root(rootCatalog)),
-		extent:   btree.Open(v, v.Root(rootExtent)),
-		config:   btree.Open(v, v.Root(rootConfig)),
-		vidIdx:   btree.Open(v, v.Root(rootVidIdx)),
-		indexes:  make(map[string]*btree.Tree),
+		objTable: *btree.Open(v, v.Root(rootObjTable)),
+		verIdx:   *btree.Open(v, v.Root(rootVerIdx)),
+		tempIdx:  *btree.Open(v, v.Root(rootTempIdx)),
+		catalog:  *btree.Open(v, v.Root(rootCatalog)),
+		extent:   *btree.Open(v, v.Root(rootExtent)),
+		config:   *btree.Open(v, v.Root(rootConfig)),
+		vidIdx:   *btree.Open(v, v.Root(rootVidIdx)),
 		writable: writable,
 	}
 }
@@ -380,26 +382,35 @@ func (e *Engine) takeHeapSpace(s int) *storage.HeapState {
 	defer e.hsMu.Unlock()
 	for len(e.heapSpace) <= s {
 		e.heapSpace = append(e.heapSpace, storage.NewHeapState())
+		e.heapRewind = append(e.heapRewind, false)
 	}
 	hs := e.heapSpace[s]
 	if hs == nil {
 		hs = storage.NewHeapState()
 		e.heapSpace[s] = hs
 	}
+	if e.heapRewind[s] {
+		hs.Rewind()
+		e.heapRewind[s] = false
+	}
 	return hs
 }
 
-// resetHeapSpaces starts every shard's next writer with a fresh heap
-// cache. Called after an abort: the rollback reverted pages underneath
-// the shared caches; their entries self-heal, but the sweep position may
-// hide reverted pages. Allocation leases are dropped for the same
-// reason: re-leasing from the persisted counter is always safe, while a
-// lease minted against rolled-back counter state is simpler to discard
-// than to reason about.
+// resetHeapSpaces makes every shard's next writer rewind its heap
+// cache's sweep. Called after an abort: the rollback reverted pages
+// underneath the shared caches; their entries self-heal (every entry is
+// re-verified before use), but a page the rollback gave space back to
+// stays under-counted until the sweep passes it again. The entries are
+// kept: discarding them sent every insert to a fresh page until the
+// 16-page-per-insert sweep had covered the file again, so a workload
+// with frequent 2PC restarts grew the heap without bound. Allocation
+// leases are dropped: re-leasing from the persisted counter is always
+// safe, while a lease minted against rolled-back counter state is
+// simpler to discard than to reason about.
 func (e *Engine) resetHeapSpaces() {
 	e.hsMu.Lock()
-	for i := range e.heapSpace {
-		e.heapSpace[i] = storage.NewHeapState()
+	for i := range e.heapRewind {
+		e.heapRewind[i] = true
 	}
 	e.hsMu.Unlock()
 	e.alloc.reset()
@@ -445,13 +456,13 @@ func (tx *shardTx) saveRoots() {
 			tx.st.SetRoot(slot, t.Root())
 		}
 	}
-	set(rootObjTable, tx.objTable)
-	set(rootVerIdx, tx.verIdx)
-	set(rootTempIdx, tx.tempIdx)
-	set(rootCatalog, tx.catalog)
-	set(rootExtent, tx.extent)
-	set(rootConfig, tx.config)
-	set(rootVidIdx, tx.vidIdx)
+	set(rootObjTable, &tx.objTable)
+	set(rootVerIdx, &tx.verIdx)
+	set(rootTempIdx, &tx.tempIdx)
+	set(rootCatalog, &tx.catalog)
+	set(rootExtent, &tx.extent)
+	set(rootConfig, &tx.config)
+	set(rootVidIdx, &tx.vidIdx)
 }
 
 // Bus exposes the trigger bus.

@@ -246,11 +246,11 @@ func (e *Engine) migrateChunk(w *txn.WriteTx, step txn.ReshardStep, cursor uint6
 	}
 	src, dst := tx.shards[step.Src], tx.shards[step.Dst]
 
-	oids, err := collectRangeIDs(src.objTable, cursor, step.Hi, reshardChunkObjects)
+	oids, err := collectRangeIDs(&src.objTable, cursor, step.Hi, reshardChunkObjects)
 	if err != nil {
 		return txn.MigrateResult{}, err
 	}
-	vids, err := collectRangeIDs(src.vidIdx, cursor, step.Hi, reshardChunkVersions)
+	vids, err := collectRangeIDs(&src.vidIdx, cursor, step.Hi, reshardChunkVersions)
 	if err != nil {
 		return txn.MigrateResult{}, err
 	}

@@ -51,6 +51,10 @@ func NewHeapState() *HeapState {
 	return &HeapState{space: make(map[oid.PageID]int), sweep: 1}
 }
 
+// Rewind restarts the sweep from the first page, keeping the cached
+// entries; the sweep refreshes each entry it passes.
+func (hs *HeapState) Rewind() { hs.sweep, hs.sweepDone = 1, false }
+
 // Heap is the record heap: variable-length records addressed by stable
 // RIDs, with overflow chains for records larger than a page. One store
 // has exactly one heap (B+trees use their own page type); each

@@ -149,7 +149,7 @@ func peekPageSize(fsys faultfs.FS, path string) (int, error) {
 	}
 	ver := binary.BigEndian.Uint32(hdr[HeaderSize+8 : HeaderSize+12])
 	if ver != FormatVersion {
-		return 0, fmt.Errorf("%w: %d", ErrBadVersion, ver)
+		return 0, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, ver, FormatVersion)
 	}
 	ps := binary.BigEndian.Uint32(hdr[HeaderSize+12 : HeaderSize+16])
 	if ps < MinPageSize || ps > MaxStorePageSize {

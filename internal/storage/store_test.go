@@ -2,10 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ode/internal/oid"
@@ -68,6 +71,40 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Open(path, Options{}); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("want ErrBadMagic, got %v", err)
+	}
+}
+
+// TestOpenRefusesOtherFormatVersion writes a superblock that says
+// version 1 (the format before slotted B-tree nodes) and expects both
+// version checks to refuse it with ErrBadVersion naming the version
+// they want: the header probe Open runs before it knows the page size,
+// and the superblock decode.
+func TestOpenRefusesOtherFormatVersion(t *testing.T) {
+	st, path := tempStore(t, Options{PageSize: 512})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page0 := raw[:512]
+	binary.BigEndian.PutUint32(page0[HeaderSize+8:], 1)
+	sealChecksum(page0)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("1 (want %d)", FormatVersion)
+
+	_, err = Open(path, Options{})
+	if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open: want ErrBadVersion naming %q, got %v", want, err)
+	}
+
+	var s super
+	err = s.unmarshalFrom(&Page{Data: page0})
+	if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("superblock decode: want ErrBadVersion naming %q, got %v", want, err)
 	}
 }
 

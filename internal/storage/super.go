@@ -11,8 +11,9 @@ import (
 // Magic identifies an Ode store file.
 const Magic uint64 = 0x4F44455245505231 // "ODEREP R1"
 
-// FormatVersion is bumped on incompatible on-disk changes.
-const FormatVersion uint32 = 1
+// FormatVersion is bumped on incompatible on-disk changes. Version 2
+// stores B+tree nodes as slotted pages (internal/btree).
+const FormatVersion uint32 = 2
 
 // NumRoots is the number of named structure roots the superblock holds;
 // the engine assigns meanings (object table, indexes, catalog, ...).
