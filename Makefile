@@ -27,7 +27,7 @@ help:
 	@echo "  fuzz     continuous fuzz over every native target, FUZZTIME=$(FUZZTIME) each"
 	@echo "  fuzz-smoke  same targets at 10s each — the CI tier"
 	@echo "  cover    line coverage, with 85% floors on internal/obs,"
-	@echo "           internal/workload, internal/delta, internal/matcache and"
+	@echo "           internal/workload, internal/delta, internal/vcache and"
 	@echo "           (per-file, over the delta battery) the two compact.go files"
 	@echo "  check    build + vet + race + matrix + soak + ycsb + delta-matrix + hotpath"
 
@@ -131,11 +131,11 @@ cover:
 	  pct = $$3 + 0; \
 	  printf "internal/delta coverage: %s (floor 85%%)\n", $$3; \
 	  if (pct < 85) { print "FAIL: internal/delta below 85% coverage"; exit 1 } }'
-	$(GO) test -coverprofile=/tmp/matcache.cover ./internal/matcache
-	@$(GO) tool cover -func=/tmp/matcache.cover | awk '/^total:/ { \
+	$(GO) test -coverprofile=/tmp/vcache.cover ./internal/vcache
+	@$(GO) tool cover -func=/tmp/vcache.cover | awk '/^total:/ { \
 	  pct = $$3 + 0; \
-	  printf "internal/matcache coverage: %s (floor 85%%)\n", $$3; \
-	  if (pct < 85) { print "FAIL: internal/matcache below 85% coverage"; exit 1 } }'
+	  printf "internal/vcache coverage: %s (floor 85%%)\n", $$3; \
+	  if (pct < 85) { print "FAIL: internal/vcache below 85% coverage"; exit 1 } }'
 	# The compaction write-side lives in internal/core/compact.go and
 	# the sweeper pacing in compact.go, both exercised from the root
 	# delta battery (including its read-fault and crash matrices) — so

@@ -38,6 +38,7 @@ import (
 	"strings"
 
 	"ode"
+	"ode/internal/vcache"
 )
 
 func main() {
@@ -352,26 +353,25 @@ func (s *shell) exec(line string) error {
 			}
 			return 100 * float64(h) / float64(h+m)
 		}
-		if cs, ok := s.db.Engine().MatCacheStats(); ok {
-			fmt.Fprintf(s.out, "matcache:    %d hits, %d misses (%.1f%% hit rate), %d evictions, %d entries, %d bytes\n",
-				cs.Hits, cs.Misses, hitRate(cs.Hits, cs.Misses), cs.Evictions, cs.Entries, cs.Bytes)
-		} else {
-			fmt.Fprintln(s.out, "matcache:    disabled")
+		show := func(name string, st vcache.Stats, ok bool) {
+			if !ok {
+				fmt.Fprintf(s.out, "%-13sdisabled\n", name)
+				return
+			}
+			fmt.Fprintf(s.out, "%-13s%d hits, %d misses (%.1f%% hit rate), %d evictions, %d entries, %d bytes\n",
+				name, st.Hits, st.Misses, hitRate(st.Hits, st.Misses), st.Evictions, st.Entries, st.Bytes)
 		}
-		if ds, ok := s.db.Engine().DerefCacheStats(); ok {
-			fmt.Fprintf(s.out, "derefcache:  %d hits, %d misses (%.1f%% hit rate), %d evictions, %d entries, %d bytes\n",
-				ds.Hits, ds.Misses, hitRate(ds.Hits, ds.Misses), ds.Evictions, ds.Entries, ds.Bytes)
-			c := s.db.Engine().Coordinator()
-			if c.NumShards() > 1 {
-				for i := 0; i < c.NumShards(); i++ {
-					h, m := s.db.Engine().DerefCacheShardStats(i)
-					if h+m > 0 {
-						fmt.Fprintf(s.out, "  shard %d: %d hits, %d misses (%.1f%%)\n", i, h, m, hitRate(h, m))
-					}
+		cs, ok := s.db.Engine().MatCacheStats()
+		show("matcache:", cs, ok)
+		ds, ok := s.db.Engine().DerefCacheStats()
+		show("derefcache:", ds, ok)
+		if c := s.db.Engine().Coordinator(); ok && c.NumShards() > 1 {
+			for i := 0; i < c.NumShards(); i++ {
+				h, m := s.db.Engine().DerefCacheShardStats(i)
+				if h+m > 0 {
+					fmt.Fprintf(s.out, "  shard %d: %d hits, %d misses (%.1f%%)\n", i, h, m, hitRate(h, m))
 				}
 			}
-		} else {
-			fmt.Fprintln(s.out, "derefcache:  disabled")
 		}
 		leases, ids := s.db.Engine().AllocStats()
 		fmt.Fprintf(s.out, "allocator:   %d leases, %d ids", leases, ids)

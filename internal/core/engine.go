@@ -39,13 +39,12 @@ import (
 
 	"ode/internal/btree"
 	"ode/internal/codec"
-	"ode/internal/derefcache"
-	"ode/internal/matcache"
 	"ode/internal/obs"
 	"ode/internal/oid"
 	"ode/internal/storage"
 	"ode/internal/trigger"
 	"ode/internal/txn"
+	"ode/internal/vcache"
 )
 
 // ErrTxDone reports use of a transaction handle whose transaction has
@@ -129,24 +128,33 @@ type Options struct {
 	// DefaultCacheBytes, negative disables the cache.
 	CacheBytes int64
 
-	// DerefCacheBytes is the read-side dereference cache budget (latest
-	// version id + materialised content keyed by oid, epoch-tagged like
-	// the materialisation cache); 0 means DefaultDerefCacheBytes,
-	// negative disables it. Unlike CacheBytes it is independent of the
-	// delta tier: the hot Deref path benefits under every policy.
+	// DerefCacheBytes is the read-side dereference cache budget (the
+	// latest version of an oid, cached like a materialisation); 0 means
+	// DefaultCacheBytes, negative disables it. Unlike CacheBytes it is
+	// independent of the delta tier: the hot Deref path benefits under
+	// every policy.
 	DerefCacheBytes int64
 }
 
 // DefaultMaxChain is the delta-chain keyframe interval.
 const DefaultMaxChain = 16
 
-// DefaultCacheBytes is the materialisation cache budget when the delta
-// tier is on and Options.CacheBytes is zero.
+// DefaultCacheBytes is the budget of each version cache (the
+// materialisation and the dereference cache) when its Options field is
+// zero.
 const DefaultCacheBytes = 4 << 20
 
-// DefaultDerefCacheBytes is the dereference cache budget when
-// Options.DerefCacheBytes is zero.
-const DefaultDerefCacheBytes = 4 << 20
+// newCache builds a version cache for a budget option: 0 means
+// DefaultCacheBytes, negative means no cache (nil).
+func newCache(budget int64, maxShards int) *vcache.Cache {
+	if budget < 0 {
+		return nil
+	}
+	if budget == 0 {
+		budget = DefaultCacheBytes
+	}
+	return vcache.New(budget, 16, maxShards)
+}
 
 // Engine is the versioned-object store. It holds only cross-transaction
 // state; everything a single transaction needs lives on its Tx.
@@ -164,17 +172,16 @@ type Engine struct {
 	m *obs.Metrics
 
 	// cache is the materialisation cache (nil unless the delta tier is
-	// on and Options.CacheBytes >= 0). Entries are tagged with the
-	// (shard, epoch) they were built at and only served to readers
-	// pinned at exactly that pair, so no invalidation is needed.
-	cache *matcache.Cache
-
-	// dcache is the read-side dereference cache (nil when disabled):
-	// oid → (latest vid, content), tagged with the reading snapshot's
-	// (shard, epoch) under the same exact-match rule as cache, so a hot
-	// Deref skips the header probe and payload walk entirely and a live
-	// reshard can never serve stale placement.
-	dcache *derefcache.Cache
+	// on and Options.CacheBytes >= 0): specific references (oid, vid) →
+	// content. dcache is the dereference cache (nil when disabled):
+	// generic references (oid, NilVID) → (latest vid, content), so a hot
+	// Deref skips the header probe and payload walk entirely. Both are
+	// vcache instances with their own budgets; entries are tagged with
+	// the reading snapshot's (shard, epoch) and only served to readers
+	// pinned at exactly that pair, so no invalidation is needed and a
+	// live reshard can never serve stale placement.
+	cache  *vcache.Cache
+	dcache *vcache.Cache
 
 	// heapSpace holds each shard's heap free-space cache, shared across
 	// write transactions (writers on one shard are serialised by its
@@ -273,20 +280,10 @@ func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
 	for i := range e.heapSpace {
 		e.heapSpace[i] = storage.NewHeapState()
 	}
-	if opts.DeltaTier && opts.CacheBytes >= 0 {
-		cap := opts.CacheBytes
-		if cap == 0 {
-			cap = DefaultCacheBytes
-		}
-		e.cache = matcache.New(cap, 16)
+	if opts.DeltaTier {
+		e.cache = newCache(opts.CacheBytes, 0)
 	}
-	if opts.DerefCacheBytes >= 0 {
-		cap := opts.DerefCacheBytes
-		if cap == 0 {
-			cap = DefaultDerefCacheBytes
-		}
-		e.dcache = derefcache.New(cap, 16, storage.MaxSlots)
-	}
+	e.dcache = newCache(opts.DerefCacheBytes, storage.MaxSlots)
 	// Initialize any physical shard still lacking the engine trees: all
 	// of them on a fresh database, and — after a crash between a
 	// reshard's grow step and its provisioning transaction — just the
@@ -486,9 +483,9 @@ func (e *Engine) AnchorInterval() int { return e.opts.AnchorInterval }
 
 // MatCacheStats snapshots the materialisation cache counters; ok is
 // false when the cache is disabled.
-func (e *Engine) MatCacheStats() (matcache.Stats, bool) {
+func (e *Engine) MatCacheStats() (vcache.Stats, bool) {
 	if e.cache == nil {
-		return matcache.Stats{}, false
+		return vcache.Stats{}, false
 	}
 	return e.cache.Stats(), true
 }
@@ -503,9 +500,9 @@ func (e *Engine) ResetMatCache() {
 
 // DerefCacheStats snapshots the dereference cache counters; ok is false
 // when the cache is disabled.
-func (e *Engine) DerefCacheStats() (derefcache.Stats, bool) {
+func (e *Engine) DerefCacheStats() (vcache.Stats, bool) {
 	if e.dcache == nil {
-		return derefcache.Stats{}, false
+		return vcache.Stats{}, false
 	}
 	return e.dcache.Stats(), true
 }

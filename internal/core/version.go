@@ -8,6 +8,7 @@ import (
 	"ode/internal/delta"
 	"ode/internal/oid"
 	"ode/internal/trigger"
+	"ode/internal/vcache"
 )
 
 // payload kinds in a version record.
@@ -175,59 +176,33 @@ func (tx *shardTx) readContent(o oid.OID, rec verRec) ([]byte, error) {
 	}
 }
 
-// cacheGet consults the materialisation cache. Only snapshot (read)
-// transactions use the cache: their (shard, epoch) pin is exactly the
+// cacheGet consults a version cache (the engine's materialisation
+// cache for a specific reference (o, v), its dereference cache for the
+// generic reference (o, NilVID)) and returns the vid the reference
+// resolved to with a copy of its content. Only snapshot (read)
+// transactions use the caches: their (shard, epoch) pin is exactly the
 // tag entries are stored under, while a writer reads its own in-flight
 // state which the cache must neither serve nor absorb.
-func (tx *shardTx) cacheGet(o oid.OID, v oid.VID) ([]byte, bool) {
-	c := tx.e.cache
+func (tx *shardTx) cacheGet(c *vcache.Cache, o oid.OID, v oid.VID) (oid.VID, []byte, bool) {
 	if c == nil || tx.writable {
-		return nil, false
+		return oid.NilVID, nil, false
 	}
-	return c.Get(uint64(o), uint64(v), tx.s, tx.st.Epoch())
+	return c.Get(o, v, tx.s, tx.st.Epoch())
 }
 
-// cachePut stores a materialised content under the reading snapshot's
-// (shard, epoch) tag; no-op on write transactions.
-func (tx *shardTx) cachePut(o oid.OID, v oid.VID, content []byte) {
-	c := tx.e.cache
+// cachePut stores the reference (o, v)'s resolution to vid under the
+// reading snapshot's (shard, epoch) tag; no-op on write transactions.
+func (tx *shardTx) cachePut(c *vcache.Cache, o oid.OID, v, vid oid.VID, content []byte) {
 	if c == nil || tx.writable {
 		return
 	}
-	c.Put(uint64(o), uint64(v), tx.s, tx.st.Epoch(), content)
-}
-
-// derefGet consults the dereference cache for o's latest version. Like
-// cacheGet, only snapshot transactions participate: their (shard,
-// epoch) pin matches the tag entries are stored under exactly, while a
-// writer observes its own in-flight latest which the cache must neither
-// serve nor absorb.
-func (tx *shardTx) derefGet(o oid.OID) ([]byte, oid.VID, bool) {
-	c := tx.e.dcache
-	if c == nil || tx.writable {
-		return nil, oid.NilVID, false
-	}
-	vid, content, ok := c.Get(uint64(o), tx.s, tx.st.Epoch())
-	if !ok {
-		return nil, oid.NilVID, false
-	}
-	return content, oid.VID(vid), true
-}
-
-// derefPut stores o's materialised latest under the reading snapshot's
-// (shard, epoch) tag; no-op on write transactions.
-func (tx *shardTx) derefPut(o oid.OID, v oid.VID, content []byte) {
-	c := tx.e.dcache
-	if c == nil || tx.writable {
-		return
-	}
-	c.Put(uint64(o), tx.s, tx.st.Epoch(), uint64(v), content)
+	c.Put(o, v, tx.s, tx.st.Epoch(), vid, content)
 }
 
 // ReadVersion returns the content of a specific version — the paper's
 // specific-reference dereference (*vp on a version id).
 func (tx *shardTx) ReadVersion(o oid.OID, v oid.VID) ([]byte, error) {
-	if content, ok := tx.cacheGet(o, v); ok {
+	if _, content, ok := tx.cacheGet(tx.e.cache, o, v); ok {
 		return content, nil
 	}
 	rec, err := tx.loadVer(o, v)
@@ -238,7 +213,7 @@ func (tx *shardTx) ReadVersion(o oid.OID, v oid.VID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx.cachePut(o, v, content)
+	tx.cachePut(tx.e.cache, o, v, v, content)
 	return content, nil
 }
 
@@ -246,15 +221,15 @@ func (tx *shardTx) ReadVersion(o oid.OID, v oid.VID) ([]byte, error) {
 // paper's generic-reference dereference (*p on an object id binds to the
 // latest version at access time).
 func (tx *shardTx) ReadLatest(o oid.OID) ([]byte, oid.VID, error) {
-	if content, v, ok := tx.derefGet(o); ok {
+	if v, content, ok := tx.cacheGet(tx.e.dcache, o, oid.NilVID); ok {
 		return content, v, nil
 	}
 	h, err := tx.loadHeader(o)
 	if err != nil {
 		return nil, oid.NilVID, err
 	}
-	if content, ok := tx.cacheGet(o, h.latest); ok {
-		tx.derefPut(o, h.latest, content)
+	if _, content, ok := tx.cacheGet(tx.e.cache, o, h.latest); ok {
+		tx.cachePut(tx.e.dcache, o, oid.NilVID, h.latest, content)
 		return content, h.latest, nil
 	}
 	rec, err := tx.loadVer(o, h.latest)
@@ -265,8 +240,8 @@ func (tx *shardTx) ReadLatest(o oid.OID) ([]byte, oid.VID, error) {
 	if err != nil {
 		return nil, oid.NilVID, err
 	}
-	tx.cachePut(o, h.latest, content)
-	tx.derefPut(o, h.latest, content)
+	tx.cachePut(tx.e.cache, o, h.latest, h.latest, content)
+	tx.cachePut(tx.e.dcache, o, oid.NilVID, h.latest, content)
 	return content, h.latest, nil
 }
 

@@ -13,11 +13,12 @@
 //     advance the pool's prepared epoch, enqueue a commitReq. Queue
 //     order is prepare order because enqueue happens under the mutex.
 //   - publish (groupCommitter.run, its own goroutine): pop everything
-//     queued (bounded by CommitBatchSize), splice the members' frames
-//     into the log, one fsync, advance the durable epoch to the newest
-//     member's, then ack every member. "Leader election" is degenerate
-//     by construction: the committer goroutine is the standing leader,
-//     and members only ever wait on their own done channel.
+//     queued (at most DefaultCommitBatchSize), splice the members'
+//     frames into the log, one fsync, advance the durable epoch to the
+//     newest member's, then ack every member. "Leader election" is
+//     degenerate by construction: the committer goroutine is the
+//     standing leader, and members only ever wait on their own done
+//     channel.
 //   - failure (Manager.failSuffix): if the batch's append or fsync
 //     fails, every prepared-but-not-durable transaction — the failed
 //     batch and anything queued behind it — is rolled back newest-first
@@ -26,13 +27,12 @@
 //     be replayed, and each member gets its own error. The manager is
 //     NOT poisoned: durable state is intact and the next commit must
 //     succeed (see TestFailedCommitSyncNeverResurfaces). Only a failure
-//     to heal the WAL itself poisons.
+//     to heal the WAL itself poisons. A 2PC prepare queued behind the
+//     failed batch is failed before the rollback starts: its owner holds
+//     the writer mutex the rollback needs (TestPrepareBehindFailingBatch).
 //
-// Batching needs no timer to be effective: while a flush is in flight,
-// new requests pile up in the queue and the next pop takes them all.
-// CommitBatchDelay > 0 additionally makes the committer linger after
-// the first request of a batch, trading single-writer latency for
-// larger groups.
+// Batching needs no timer: while a flush is in flight, new requests
+// pile up in the queue and the next pop takes them all.
 package txn
 
 import (
@@ -46,7 +46,7 @@ import (
 )
 
 // DefaultCommitBatchSize bounds how many prepared transactions one
-// group-commit fsync may cover unless configured otherwise.
+// group-commit fsync may cover.
 const DefaultCommitBatchSize = 64
 
 // commitReq is one prepared transaction awaiting its group fsync.
@@ -59,11 +59,12 @@ type commitReq struct {
 	// prepare marks a 2PC participant: its frames end in a prepare
 	// record, not a commit. The coordinator holds the shard's writer
 	// mutex from enqueue until after the ack, so a prepare request is
-	// always the LAST member of its batch: nothing can be enqueued
-	// behind it. It is not a commit — the batch's counters, durable
-	// epoch and BatchSize skip it — and on batch failure it is acked
-	// (with the cause) before failSuffix takes the writer mutex, because
-	// its owner holds that mutex and rolls the transaction back itself.
+	// always the LAST entry of the queue and of its batch: nothing can
+	// be enqueued behind it. It is not a commit — the batch's counters,
+	// durable epoch and BatchSize skip it — and when a batch fails it is
+	// acked with an error (whether it was in the batch or queued behind
+	// it) before failSuffix takes the writer mutex, because its owner
+	// holds that mutex and rolls the transaction back itself.
 	prepare bool
 }
 
@@ -73,9 +74,7 @@ type commitReq struct {
 // because the committer itself takes the writer mutex on the failure
 // path and a bounded queue could deadlock against it.
 type groupCommitter struct {
-	m        *Manager
-	maxBatch int
-	maxDelay time.Duration
+	m *Manager
 
 	qmu     sync.Mutex
 	more    *sync.Cond // signalled on enqueue and stop
@@ -83,14 +82,15 @@ type groupCommitter struct {
 	q       []*commitReq
 	busy    bool // a batch is being flushed right now
 	stopped bool
+	// failing is the cause of a failed batch from failBegin until
+	// failSuffix drains the queue; a prepare enqueued meanwhile is
+	// acked with it at once instead of waiting behind the rollback.
+	failing error
 	exited  chan struct{}
 }
 
-func newGroupCommitter(m *Manager, maxBatch int, maxDelay time.Duration) *groupCommitter {
-	if maxBatch <= 0 {
-		maxBatch = DefaultCommitBatchSize
-	}
-	gc := &groupCommitter{m: m, maxBatch: maxBatch, maxDelay: maxDelay, exited: make(chan struct{})}
+func newGroupCommitter(m *Manager) *groupCommitter {
+	gc := &groupCommitter{m: m, exited: make(chan struct{})}
 	gc.more = sync.NewCond(&gc.qmu)
 	gc.idle = sync.NewCond(&gc.qmu)
 	go gc.run()
@@ -110,6 +110,12 @@ func (gc *groupCommitter) enqueue(req *commitReq) {
 		req.done <- ErrClosed
 		return
 	}
+	if req.prepare && gc.failing != nil {
+		cause := gc.failing
+		gc.qmu.Unlock()
+		req.done <- groupAborted(cause)
+		return
+	}
 	gc.q = append(gc.q, req)
 	gc.more.Signal()
 	gc.qmu.Unlock()
@@ -127,17 +133,7 @@ func (gc *groupCommitter) next() []*commitReq {
 		}
 		gc.more.Wait()
 	}
-	if gc.maxDelay > 0 && len(gc.q) < gc.maxBatch && !gc.stopped {
-		// Linger for stragglers. The queue stays non-empty throughout, so
-		// the pipeline correctly reads as busy.
-		gc.qmu.Unlock()
-		time.Sleep(gc.maxDelay)
-		gc.qmu.Lock()
-	}
-	n := len(gc.q)
-	if n > gc.maxBatch {
-		n = gc.maxBatch
-	}
+	n := min(len(gc.q), DefaultCommitBatchSize)
 	batch := gc.q[:n:n]
 	rest := make([]*commitReq, len(gc.q)-n)
 	copy(rest, gc.q[n:])
@@ -146,15 +142,43 @@ func (gc *groupCommitter) next() []*commitReq {
 	return batch
 }
 
-// drainQueued empties the queue (called by failSuffix under the writer
-// mutex: everything still queued was prepared on top of the failed
-// batch and must be rolled back with it).
+// failBegin marks a batch failure before failSuffix waits for the
+// writer mutex. A 2PC prepare's owner holds that mutex until its prepare
+// is acked, so a prepare queued behind the failed batch (necessarily
+// the queue's last entry) is popped and acked with the cause now, as is
+// any prepare enqueued until failSuffix drains the queue. Each owner
+// then rolls its transaction back and releases the mutex before the
+// batch's rollback runs, which keeps rollback order newest-first.
+func (gc *groupCommitter) failBegin(cause error) {
+	gc.qmu.Lock()
+	gc.failing = cause
+	var prep *commitReq
+	if n := len(gc.q); n > 0 && gc.q[n-1].prepare {
+		prep, gc.q = gc.q[n-1], gc.q[:n-1]
+	}
+	gc.qmu.Unlock()
+	if prep != nil {
+		prep.done <- groupAborted(cause)
+	}
+}
+
+// drainQueued empties the queue and ends the failure window (called by
+// failSuffix under the writer mutex, so nothing can enqueue until the
+// rollback is done: everything still queued was prepared on top of the
+// failed batch and must be rolled back with it).
 func (gc *groupCommitter) drainQueued() []*commitReq {
 	gc.qmu.Lock()
 	defer gc.qmu.Unlock()
 	q := gc.q
 	gc.q = nil
+	gc.failing = nil
 	return q
+}
+
+// groupAborted is the error of a transaction rolled back because an
+// fsync it was not part of failed.
+func groupAborted(cause error) error {
+	return fmt.Errorf("aborted with failed commit group: %w", cause)
 }
 
 // batchDone lowers busy and wakes pipeline-idle waiters.
@@ -245,10 +269,12 @@ func (m *Manager) publishBatch(batch []*commitReq) {
 		// mutex: its owner — the coordinator — holds that mutex while
 		// waiting for this ack and rolls the 2PC transaction back itself
 		// (newest-first order is preserved: that rollback happens before
-		// the mutex is released, so before failSuffix can run).
+		// the mutex is released, so before failSuffix can run). failBegin
+		// does the same for a prepare queued behind the batch.
 		if prep != nil {
 			prep.done <- err
 		}
+		m.gc.failBegin(err)
 		m.failSuffix(normals, startLSN, err)
 		return
 	}
@@ -308,7 +334,7 @@ func (m *Manager) failSuffix(batch []*commitReq, startLSN oid.LSN, cause error) 
 		if i < len(batch) {
 			r.done <- cause
 		} else {
-			r.done <- fmt.Errorf("aborted with failed commit group: %w", cause)
+			r.done <- groupAborted(cause)
 		}
 	}
 }

@@ -80,15 +80,6 @@ type Options struct {
 	// it is also implied by NoSync (with no fsync to share there is
 	// nothing to batch) and by ReadOnly.
 	NoGroupCommit bool
-	// CommitBatchSize caps how many prepared transactions one group
-	// fsync may cover; 0 means DefaultCommitBatchSize.
-	CommitBatchSize int
-	// CommitBatchDelay makes the group committer linger that long after
-	// a batch's first transaction, collecting stragglers: larger groups,
-	// at the price of that much single-writer commit latency. 0 (the
-	// default) flushes immediately — batching still happens naturally,
-	// because requests queue up while the previous fsync is in flight.
-	CommitBatchDelay time.Duration
 	// NoMetrics disables the observability registry entirely: no
 	// counters, no histograms, no timestamps on the commit path. It
 	// exists for the overhead benchmark (E13), which compares the
@@ -374,7 +365,7 @@ func (m *Manager) startPipeline() {
 	if !m.opts.grouped() {
 		return
 	}
-	m.gc = newGroupCommitter(m, m.opts.CommitBatchSize, m.opts.CommitBatchDelay)
+	m.gc = newGroupCommitter(m)
 	m.ckptKick = make(chan struct{}, 1)
 	m.ckptStop = make(chan struct{})
 	m.ckptWG.Add(1)

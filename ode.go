@@ -136,7 +136,7 @@ type Options struct {
 	// sharded, epoch-tagged LRU of (latest vid, materialised content)
 	// keyed by object id, letting hot Deref/latest reads on snapshot
 	// transactions skip page decoding entirely. Independent of
-	// DeltaTier. 0 means core.DefaultDerefCacheBytes (4 MiB), negative
+	// DeltaTier. 0 means core.DefaultCacheBytes (4 MiB), negative
 	// disables it.
 	DerefCacheBytes int64
 	// CompactInterval paces the background compactor under DeltaTier:
@@ -157,16 +157,6 @@ type Options struct {
 	// of sharing one fsync with every transaction committing in the same
 	// window. Benchmarks use it as the pre-batching baseline.
 	NoGroupCommit bool
-	// CommitBatchSize caps how many concurrent Updates one group-commit
-	// fsync may cover; 0 means txn.DefaultCommitBatchSize (64).
-	CommitBatchSize int
-	// CommitBatchDelay makes the group committer wait that long after a
-	// batch's first commit for more to join. 0 (the default) flushes
-	// immediately: commits batch only as far as they naturally pile up
-	// behind an in-flight fsync, and single-writer latency is unchanged.
-	// A positive delay buys larger batches at exactly that much added
-	// commit latency.
-	CommitBatchDelay time.Duration
 	// CheckpointBytes sets the WAL size that triggers a checkpoint;
 	// <0 disables automatic checkpoints.
 	CheckpointBytes int64
@@ -229,16 +219,14 @@ func Open(dir string, opts *Options) (*DB, error) {
 		o = *opts
 	}
 	topts := txn.Options{
-		Shards:           o.Shards,
-		NoSync:           o.NoSync,
-		NoGroupCommit:    o.NoGroupCommit,
-		CommitBatchSize:  o.CommitBatchSize,
-		CommitBatchDelay: o.CommitBatchDelay,
-		CheckpointBytes:  o.CheckpointBytes,
-		FS:               o.FS,
-		NoMetrics:        o.NoMetrics,
-		Tracer:           o.Tracer,
-		TracerBuffer:     o.TracerBuffer,
+		Shards:          o.Shards,
+		NoSync:          o.NoSync,
+		NoGroupCommit:   o.NoGroupCommit,
+		CheckpointBytes: o.CheckpointBytes,
+		FS:              o.FS,
+		NoMetrics:       o.NoMetrics,
+		Tracer:          o.Tracer,
+		TracerBuffer:    o.TracerBuffer,
 	}
 	topts.Storage.PageSize = o.PageSize
 	topts.Storage.PoolPages = o.PoolPages
