@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,7 @@ var GroupCommitJSONPath = ""
 // so they are exact to within one power-of-two bucket width.
 type GroupCommitResult struct {
 	Committers      int     `json:"committers"`
-	Mode            string  `json:"mode"` // "baseline" (NoGroupCommit) or "grouped"
+	Mode            string  `json:"mode"` // "baseline" (shard locks, one fsync per commit) or "grouped"
 	CommitsPerSec   float64 `json:"commits_per_sec"`
 	Commits         int64   `json:"commits"`
 	Batches         uint64  `json:"fsync_batches"`
@@ -36,6 +37,42 @@ type GroupCommitResult struct {
 	MeanCommitGroup float64 `json:"mean_commit_group"`
 }
 
+// shardLocks is the E12/E14 baseline: one harness mutex per physical
+// shard. A baseline committer holds the mutexes of the shards its
+// objects live on, in ascending shard order, around its whole Update.
+// Its commit then sits alone in each shard's queue and pays its own
+// fsync — one fsync per transaction, the regime group commit is
+// measured against.
+type shardLocks []sync.Mutex
+
+func newShardLocks(db *ode.DB) shardLocks {
+	return make(shardLocks, db.Engine().Coordinator().NumShards())
+}
+
+// shardsOf returns the ascending, distinct shards objs are placed on.
+func shardsOf(db *ode.DB, objs ...ode.OID) []int {
+	m := db.Engine().Coordinator().Map()
+	var shards []int
+	for _, o := range objs {
+		shards = append(shards, m.ShardOf(uint64(o)))
+	}
+	slices.Sort(shards)
+	return slices.Compact(shards)
+}
+
+// update runs fn as one Update holding the locks of shards (none in
+// grouped mode, where shards is nil).
+func (l shardLocks) update(db *ode.DB, shards []int, fn func(*ode.Tx) error) error {
+	for _, s := range shards {
+		l[s].Lock()
+	}
+	err := db.Update(fn)
+	for _, s := range shards {
+		l[s].Unlock()
+	}
+	return err
+}
+
 // usFromNS converts a nanosecond histogram quantile to microseconds.
 func usFromNS(ns uint64) float64 { return float64(ns) / 1e3 }
 
@@ -43,10 +80,11 @@ func usFromNS(ns uint64) float64 { return float64(ns) / 1e3 }
 // object per committer (disjoint objects — the cell measures the commit
 // pipeline, not version-level contention) and lets nCommitters
 // goroutines commit small in-place updates back-to-back with real
-// fsyncs for one wall-clock window. It returns total commits, the
+// fsyncs for one wall-clock window; with baseline each commit holds its
+// object's shard lock (shardLocks). It returns total commits, the
 // fsync-batch count, the summed per-commit latency, and the engine's
 // commit-latency histogram snapshot (zero-valued under NoMetrics).
-func groupCommitCell(dir string, opts *ode.Options, nCommitters int, window time.Duration) (int64, uint64, time.Duration, ode.HistSnapshot, error) {
+func groupCommitCell(dir string, opts *ode.Options, nCommitters int, baseline bool, window time.Duration) (int64, uint64, time.Duration, ode.HistSnapshot, error) {
 	var hist ode.HistSnapshot
 	db, err := ode.Open(dir, opts)
 	if err != nil {
@@ -73,6 +111,7 @@ func groupCommitCell(dir string, opts *ode.Options, nCommitters int, window time
 		return 0, 0, 0, hist, err
 	}
 	startBatches := db.Stats().Batches
+	locks := newShardLocks(db)
 
 	var (
 		commits   atomic.Int64
@@ -87,6 +126,10 @@ func groupCommitCell(dir string, opts *ode.Options, nCommitters int, window time
 		go func(o ode.OID) {
 			defer wg.Done()
 			payload := Payload(rand.New(rand.NewSource(int64(len(objs)))), 64, 0.5)
+			var held []int
+			if baseline {
+				held = shardsOf(db, o)
+			}
 			for !stop.Load() {
 				t0 := time.Now()
 				// A small in-place update is the canonical group-commit
@@ -94,7 +137,7 @@ func groupCommitCell(dir string, opts *ode.Options, nCommitters int, window time
 				// the WAL flush. It is also stationary — NewVersion would
 				// grow the version index over the window and make later
 				// commits dearer than earlier ones.
-				err := db.Update(func(tx *ode.Tx) error {
+				err := locks.update(db, held, func(tx *ode.Tx) error {
 					_, err := tx.UpdateLatestRaw(o, payload)
 					return err
 				})
@@ -121,12 +164,13 @@ func groupCommitCell(dir string, opts *ode.Options, nCommitters int, window time
 
 // E12 — group-commit throughput: synchronous commit rate as committer
 // concurrency grows, grouped WAL batching versus the one-fsync-per-txn
-// baseline (NoGroupCommit). With batching, concurrent committers share
-// a single fsync per group, so throughput should scale well past the
+// baseline (shardLocks: each commit holds its shard's harness mutex, so
+// it flushes alone). With batching, concurrent committers share a
+// single fsync per group, so throughput should scale well past the
 // device's fsync rate while the baseline stays pinned to it. The
 // 1-committer row doubles as the latency-regression check: grouping
-// may add at most the configured batch delay (default 0 — the leader
-// flushes immediately and batches form from natural backpressure).
+// adds no delay (the leader flushes immediately and batches form from
+// natural backpressure).
 func E12(root string, s Scale) (*Table, error) {
 	window := time.Duration(1500/s.Factor) * time.Millisecond
 	if window < 150*time.Millisecond {
@@ -135,7 +179,7 @@ func E12(root string, s Scale) (*Table, error) {
 
 	t := &Table{
 		Title:   "E12 — Group commit: synchronous commit throughput vs committer concurrency",
-		Note:    fmt.Sprintf("Each committer loops a small in-place update on its own object with real fsyncs for %v per cell (512-byte pages, checkpoints off). baseline = NoGroupCommit (one WAL fsync per txn); grouped = default pipeline (concurrent commits share one fsync). Speedup = grouped/baseline commits/s.", window),
+		Note:    fmt.Sprintf("Each committer loops a small in-place update on its own object with real fsyncs for %v per cell (512-byte pages, checkpoints off). baseline = each commit holds a harness mutex for its object's shard (one WAL fsync per txn); grouped = default pipeline (concurrent commits share one fsync). Speedup = grouped/baseline commits/s.", window),
 		Headers: []string{"committers", "baseline commits/s", "grouped commits/s", "speedup", "mean group", "grouped p50/p95/p99 (µs)"},
 	}
 
@@ -153,12 +197,9 @@ func E12(root string, s Scale) (*Table, error) {
 			// bandwidth — the regime group commit exists for, and the one
 			// small-object OLTP workloads actually sit in.
 			opts := &ode.Options{CheckpointBytes: -1, PageSize: 512}
-			if mode == "baseline" {
-				opts.NoGroupCommit = true
-			}
 			cell++
 			dir := filepath.Join(root, fmt.Sprintf("e12-%02d", cell))
-			commits, batches, latency, hist, err := groupCommitCell(dir, opts, n, window)
+			commits, batches, latency, hist, err := groupCommitCell(dir, opts, n, mode == "baseline", window)
 			if err != nil {
 				return nil, err
 			}

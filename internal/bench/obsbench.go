@@ -91,7 +91,7 @@ func E13(root string, s Scale) (*Table, error) {
 		var instrCommits int64
 		// One discarded warm-up window per level absorbs CPU ramp-up.
 		if _, _, _, _, err := groupCommitCell(filepath.Join(root, fmt.Sprintf("e13-warm-%d", n)),
-			&ode.Options{CheckpointBytes: -1, PageSize: 512, NoSync: true}, n, window); err != nil {
+			&ode.Options{CheckpointBytes: -1, PageSize: 512, NoSync: true}, n, false, window); err != nil {
 			return nil, err
 		}
 		for rep := 0; rep < reps; rep++ {
@@ -103,7 +103,7 @@ func E13(root string, s Scale) (*Table, error) {
 				}
 				cell++
 				dir := filepath.Join(root, fmt.Sprintf("e13-%02d", cell))
-				commits, _, _, hist, err := groupCommitCell(dir, opts, n, window)
+				commits, _, _, hist, err := groupCommitCell(dir, opts, n, false, window)
 				if err != nil {
 					return nil, err
 				}
@@ -129,7 +129,7 @@ func E13(root string, s Scale) (*Table, error) {
 			ObsResult{Committers: n, Mode: "baseline", CommitsPerSec: median(baseCPS),
 				Millis: window.Milliseconds(), Reps: reps},
 			ObsResult{Committers: n, Mode: "instrumented", CommitsPerSec: median(instrCPS),
-				Commits: instrCommits,
+				Commits:      instrCommits,
 				P50LatencyUS: usFromNS(instrHist.P50()), P95LatencyUS: usFromNS(instrHist.P95()),
 				P99LatencyUS: usFromNS(instrHist.P99()),
 				Millis:       window.Milliseconds(), Reps: reps})

@@ -71,16 +71,16 @@ type ShardResult struct {
 // loop small in-place updates for one window. With crossShard, every
 // transaction touches the committer's own object AND its neighbour's —
 // on distinct shards that is a presumed-abort 2PC commit. With grouped
-// false the store runs one fsync per transaction (NoGroupCommit), the
-// regime where per-shard WAL pipelines scale commit throughput; with
-// grouped true the default batching pipeline runs instead.
+// false every commit holds the harness mutexes of its objects' shards
+// (shardLocks) and pays one fsync per transaction, the regime where
+// per-shard WAL pipelines scale commit throughput; with grouped true
+// concurrent commits batch freely.
 func shardCell(dir string, shards, nCommitters int, crossShard, grouped bool, window time.Duration) (int64, time.Duration, ode.HistSnapshot, error) {
 	var hist ode.HistSnapshot
 	db, err := ode.Open(dir, &ode.Options{
 		Shards:          shards,
 		CheckpointBytes: -1,
 		PageSize:        512,
-		NoGroupCommit:   !grouped,
 		FS:              slowFS{faultfs.OS},
 	})
 	if err != nil {
@@ -105,6 +105,7 @@ func shardCell(dir string, shards, nCommitters int, crossShard, grouped bool, wi
 		}
 	}
 
+	locks := newShardLocks(db)
 	var (
 		commits   atomic.Int64
 		latencyNS atomic.Int64
@@ -119,9 +120,17 @@ func shardCell(dir string, shards, nCommitters int, crossShard, grouped bool, wi
 			defer wg.Done()
 			mine, next := objs[i], objs[(i+1)%nCommitters]
 			payload := Payload(rand.New(rand.NewSource(int64(i))), 64, 0.5)
+			var held []int
+			switch {
+			case grouped:
+			case crossShard:
+				held = shardsOf(db, mine, next)
+			default:
+				held = shardsOf(db, mine)
+			}
 			for !stop.Load() {
 				t0 := time.Now()
-				err := db.Update(func(tx *ode.Tx) error {
+				err := locks.update(db, held, func(tx *ode.Tx) error {
 					if _, err := tx.UpdateLatestRaw(mine, payload); err != nil {
 						return err
 					}
@@ -157,13 +166,15 @@ func shardCell(dir string, shards, nCommitters int, crossShard, grouped bool, wi
 // (every fsync costs e14FsyncLatency). Each shard owns its WAL, buffer
 // pool, writer mutex and commit pipeline:
 //
-//   - single: every transaction stays on its committer's shard, one
-//     fsync per transaction. At one shard the writer mutex serializes
-//     the device waits; at N shards the pipelines wait on the device
-//     concurrently — the architectural win this experiment gates on.
+//   - single: every transaction stays on its committer's shard and
+//     holds that shard's harness mutex (shardLocks), so it pays one
+//     fsync of its own. At one shard the mutex serializes the device
+//     waits; at N shards the pipelines wait on the device concurrently
+//     — the architectural win this experiment gates on.
 //   - cross: every transaction also touches a neighbour's object,
-//     usually on another shard — each commit is a presumed-abort 2PC
-//     (two prepares + a coordinator decision record), pricing the
+//     usually on another shard, holding both shards' harness mutexes
+//     in ascending order — each commit is a presumed-abort 2PC (two
+//     prepares + a coordinator decision record), pricing the
 //     cross-shard path.
 //   - grouped: the default group-commit pipeline, where concurrent
 //     commits already share one fsync; its shard-scaling win is CPU
@@ -178,7 +189,7 @@ func E14(root string, s Scale) (*Table, error) {
 
 	t := &Table{
 		Title:   "E14 — Sharding: 16-committer commit throughput vs shard count",
-		Note:    fmt.Sprintf("16 committers loop small in-place updates on their own objects for %v per cell on a modeled device (%v per fsync; tmpfs hides the device wait sharding parallelizes). single = shard-local txns, one fsync each (per-shard WAL pipelines overlap device waits); cross = every txn spans two shards (2PC: two prepares + coordinator record); grouped = default group-commit pipeline (batching already shares the fsync — its sharding win is multicore staging, not visible on one core). Speedup is vs the 1-shard cell of the same workload.", window, e14FsyncLatency),
+		Note:    fmt.Sprintf("16 committers loop small in-place updates on their own objects for %v per cell on a modeled device (%v per fsync; tmpfs hides the device wait sharding parallelizes). single = shard-local txns, each holding a harness mutex for its shard so it pays one fsync of its own (per-shard WAL pipelines overlap device waits); cross = every txn spans two shards and holds both shards' mutexes (2PC: two prepares + coordinator record); grouped = default group-commit pipeline (batching already shares the fsync — its sharding win is multicore staging, not visible on one core). Speedup is vs the 1-shard cell of the same workload.", window, e14FsyncLatency),
 		Headers: []string{"shards", "workload", "commits/s", "speedup", "mean (µs)", "p50/p95/p99 (µs)"},
 	}
 

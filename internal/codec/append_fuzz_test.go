@@ -3,9 +3,9 @@ package codec
 // Fuzz target for the append-style encoders (satellite of the zero-copy
 // staging refactor). Two properties are enforced: the Append* family
 // must produce byte-for-byte the same wire encoding as the Writer
-// family (the WAL stages frames through Append* while recovery and the
-// writeSync path still frame through Writer, so any divergence would be
-// an on-disk format fork), and the appended bytes must round-trip
+// family (the WAL stages frames through Append* while other on-disk
+// encoders still use Writer, so any divergence would be an on-disk
+// format fork), and the appended bytes must round-trip
 // through the existing Reader.
 
 import (

@@ -119,7 +119,6 @@ type Coordinator struct {
 	routing  atomic.Pointer[routing]
 	opts     Options
 	dir      string
-	grouped  bool
 	readOnly bool
 
 	// reshardMu serialises resharding against itself and against
@@ -188,7 +187,6 @@ type Coordinator struct {
 func WrapManager(m *Manager) *Coordinator {
 	c := &Coordinator{
 		opts:     m.opts,
-		grouped:  m.opts.grouped(),
 		readOnly: m.opts.Storage.ReadOnly,
 		cm:       m.m,
 		sink:     m.sink,
@@ -546,7 +544,6 @@ func newShardedCoordinator(dir string, opts Options) *Coordinator {
 	c := &Coordinator{
 		opts:     opts,
 		dir:      dir,
-		grouped:  opts.grouped(),
 		readOnly: opts.Storage.ReadOnly,
 	}
 	if !opts.NoMetrics {
@@ -1177,7 +1174,7 @@ func (c *Coordinator) runFn(wtx *WriteTx, fn func(*WriteTx) error) (err error) {
 func (c *Coordinator) commitTx(wtx *WriteTx, span uint64, start time.Time) error {
 	var dirty []int
 	for _, s := range wtx.joinOrder { // ascending by the join protocol
-		if len(wtx.trs[s].touchedPages()) > 0 {
+		if wtx.trs[s].dirty() {
 			dirty = append(dirty, s)
 		}
 	}
@@ -1213,39 +1210,24 @@ func (c *Coordinator) abortObserve(span uint64, start time.Time, err error) {
 func (c *Coordinator) commitSingle(wtx *WriteTx, s int, span uint64, start time.Time) error {
 	m := wtx.rt.ms[s]
 	txid, tr := wtx.txids[s], wtx.trs[s]
-	if m.gc != nil {
-		fr, err := m.stageJoined(txid, tr, 0, false)
-		if err != nil {
-			wtx.rollbackRelease()
-			c.abortObserve(span, start, err)
-			return fmt.Errorf("txn: commit: %w", err)
-		}
-		req := m.enqueueJoined(txid, tr, fr, false)
-		if c.sink != nil {
-			c.sink.Emit(obs.SpanEvent{Kind: obs.SpanPrepare, Tx: span, Dur: time.Since(start)})
-		}
-		wtx.release()
-		if err := <-req.done; err != nil {
-			// The shard's committer rolled the whole suffix back
-			// (failSuffix) and accounted for the abort before this ack.
-			return fmt.Errorf("txn: commit: %w", err)
-		}
-		c.observeCommit(span, start)
-		return nil
-	}
-	durable, err := m.commitJoinedSync(txid, tr)
+	fr, err := m.stage(txid, tr.touchedPages(), 0, false)
 	if err != nil {
-		if !durable {
-			// commitJoinedSync rolled the shard back quietly; the other
-			// joined shards are clean.
-			wtx.release()
-			c.abortObserve(span, start, err)
-			return fmt.Errorf("txn: commit: %w", err)
-		}
-		wtx.release()
-		return fmt.Errorf("txn: post-commit checkpoint (commit IS durable): %w", err)
+		wtx.rollbackRelease()
+		c.abortObserve(span, start, err)
+		return fmt.Errorf("txn: commit: %w", err)
+	}
+	req := m.enqueue(txid, tr, fr, false)
+	if c.sink != nil {
+		c.sink.Emit(obs.SpanEvent{Kind: obs.SpanPrepare, Tx: span, Dur: time.Since(start)})
 	}
 	wtx.release()
+	err = m.gc.commit(req, false)
+	recycleFrames(req)
+	if err != nil {
+		// The failing leader rolled the whole suffix back (failSuffix)
+		// and accounted for the abort before this ack.
+		return fmt.Errorf("txn: commit: %w", err)
+	}
 	c.observeCommit(span, start)
 	return nil
 }
@@ -1261,30 +1243,26 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 	var perr error
 	for _, s := range dirty {
 		m := wtx.rt.ms[s]
-		if m.gc != nil {
-			fr, err := m.stageJoined(wtx.txids[s], wtx.trs[s], gtid, true)
-			if err != nil {
-				perr = err
-				break
-			}
-			req := m.enqueueJoined(wtx.txids[s], wtx.trs[s], fr, true)
-			// Wait while still holding the shard mutex: on batch failure
-			// the committer acks us first and only then takes the mutex
-			// to roll the batch back, so the rollback below (ours before
-			// the batch's) keeps newest-first order shard-wide.
-			if err := <-req.done; err != nil {
-				perr = err
-				break
-			}
-			wtx.epochs[s] = req.epoch
-		} else {
-			ep, err := m.prepareJoinedSync(wtx.txids[s], wtx.trs[s], gtid)
-			if err != nil {
-				perr = err
-				break
-			}
-			wtx.epochs[s] = ep
+		txid, tr := wtx.txids[s], wtx.trs[s]
+		fr, err := m.stage(txid, tr.touchedPages(), gtid, true)
+		if err != nil {
+			perr = err
+			break
 		}
+		req := m.enqueue(txid, tr, fr, true)
+		// Commit while still holding the shard mutex. If a batch fails,
+		// the prepare is acked with an error before any other rollback
+		// needs the mutex (or, when this writer leads the batch, the
+		// batch is rolled back here, the prepare first and its tracker
+		// emptied), so the rollback below keeps newest-first order
+		// shard-wide.
+		err = m.gc.commit(req, true)
+		recycleFrames(req)
+		if err != nil {
+			perr = err
+			break
+		}
+		wtx.epochs[s] = req.epoch
 	}
 	if perr != nil {
 		// Presumed abort: no decision record exists, so the durable
@@ -1294,7 +1272,7 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 		c.abortObserve(span, start, perr)
 		return fmt.Errorf("txn: commit: %w", perr)
 	}
-	if c.sink != nil && c.grouped {
+	if c.sink != nil {
 		c.sink.Emit(obs.SpanEvent{Kind: obs.SpanPrepare, Tx: span, Batch: len(dirty), Dur: time.Since(start)})
 	}
 
@@ -1367,14 +1345,10 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 	}
 	c.cmu.Unlock()
 	wtx.release()
-	var batches uint64
-	if c.grouped {
-		batches = 1
-		if c.cm != nil {
-			c.cm.BatchSize.Observe(1)
-		}
+	if c.cm != nil {
+		c.cm.BatchSize.Observe(1)
 	}
-	c.addCommitsBatches(1, batches)
+	c.addCommitsBatches(1, 1)
 	if decErr != nil {
 		return fmt.Errorf("txn: %w", decErr)
 	}

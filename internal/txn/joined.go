@@ -52,11 +52,11 @@ func (m *Manager) lockWriterDrained() error {
 			m.mu.Unlock()
 			return ErrClosed
 		}
-		if m.gc == nil || m.gc.pipelineIdle() {
+		if m.gc.pipelineIdle() {
 			return nil
 		}
 		m.mu.Unlock()
-		m.gc.waitIdle() // off-lock: the committer may need mu to fail a batch
+		m.gc.waitIdle() // off-lock: a failing leader may need mu
 	}
 }
 
@@ -69,17 +69,24 @@ func (m *Manager) beginJoined() (oid.TxID, *storage.TxView, *tracker) {
 	return oid.TxID(m.nextTx), v, tr
 }
 
-// stageJoined builds the transaction's staged WAL frames: Begin, the
-// page after-images, and either a commit record or — for a 2PC
-// participant — a prepare record carrying gtid. Caller holds the writer
-// mutex; the images are copied while they are the transaction's final
-// state.
-func (m *Manager) stageJoined(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (*wal.Frames, error) {
-	fr := &wal.Frames{}
+// stage builds a transaction's WAL frames in a pooled buffer: Begin,
+// the after-images of its touched pages, and either a commit record or
+// — for a 2PC participant — a prepare record carrying gtid. Caller
+// holds the writer mutex; the images are encoded once, directly into
+// the frame buffer, while they are the transaction's final state, and
+// the batch leader splices the frozen bytes later. Grow reserves the
+// whole run up front (8-byte frame header plus ≤10 bytes of record
+// prelude per page image, with slack for begin/commit/prepare) so
+// staging never reallocates mid-loop.
+func (m *Manager) stage(txid oid.TxID, touched []oid.PageID, gtid uint64, prepare bool) (*wal.Frames, error) {
+	fr := framesPool.Get().(*wal.Frames)
+	fr.Reset()
+	fr.Grow(len(touched)*(m.st.PageSize()+18) + 64)
 	fr.Begin(txid)
-	for _, id := range tr.touchedPages() {
+	for _, id := range touched {
 		p, err := m.st.Get(id)
 		if err != nil {
+			framesPool.Put(fr)
 			return nil, err
 		}
 		fr.PageImage(txid, id, p.Data)
@@ -92,65 +99,16 @@ func (m *Manager) stageJoined(txid oid.TxID, tr *tracker, gtid uint64, prepare b
 	return fr, nil
 }
 
-// enqueueJoined advances the shard's prepared epoch (the in-memory
-// commit point) and hands the staged frames to the group committer.
-// Caller holds the writer mutex. Grouped managers only.
-func (m *Manager) enqueueJoined(txid oid.TxID, tr *tracker, fr *wal.Frames, prepare bool) *commitReq {
-	epoch := m.st.Pool().AdvanceEpoch()
-	req := &commitReq{txid: txid, tr: tr, fr: fr, epoch: epoch, prepare: prepare, done: make(chan error, 1)}
+// enqueue advances the shard's prepared epoch — the in-memory commit
+// point: pages mutated by later transactions will COW against
+// snapshots tagged at the new epoch, while readers keep pinning the
+// durable epoch until the batch's fsync lands — and queues the staged
+// frames for a group flush. Caller holds the writer mutex and then
+// calls gc.commit.
+func (m *Manager) enqueue(txid oid.TxID, tr *tracker, fr *wal.Frames, prepare bool) *commitReq {
+	req := &commitReq{txid: txid, tr: tr, fr: fr, epoch: m.st.Pool().AdvanceEpoch(), prepare: prepare}
 	m.gc.enqueue(req)
 	return req
-}
-
-// commitJoinedSync is the non-grouped (NoSync / NoGroupCommit) commit
-// for a joined single-shard transaction: append, fsync and maybe
-// checkpoint inline under the writer mutex, exactly like writeSync.
-// durable reports whether the commit record reached stable storage;
-// when false the transaction has already been rolled back (quietly).
-func (m *Manager) commitJoinedSync(txid oid.TxID, tr *tracker) (durable bool, err error) {
-	defer func() { m.walBytes.Store(m.log.Size()) }()
-	durable, err = m.commit(txid, tr)
-	if err != nil && !durable {
-		m.rollbackQuiet(tr)
-	}
-	return durable, err
-}
-
-// prepareJoinedSync is the non-grouped 2PC prepare: append the
-// transaction's images and prepare record inline and make them durable.
-// On success it advances the prepared epoch (returned for the decide
-// step) — the durable epoch does not move until the coordinator
-// decides. On error the WAL is healed and the transaction has NOT been
-// rolled back (the coordinator owns that).
-func (m *Manager) prepareJoinedSync(txid oid.TxID, tr *tracker, gtid uint64) (epoch uint64, err error) {
-	defer func() { m.walBytes.Store(m.log.Size()) }()
-	startLSN := m.log.End()
-	if _, err := m.log.AppendBegin(txid); err != nil {
-		m.undoWAL(startLSN)
-		return 0, err
-	}
-	for _, id := range tr.touchedPages() {
-		p, err := m.st.Get(id)
-		if err != nil {
-			m.undoWAL(startLSN)
-			return 0, err
-		}
-		if _, err := m.log.AppendPageImage(txid, id, p.Data); err != nil {
-			m.undoWAL(startLSN)
-			return 0, err
-		}
-	}
-	if _, err := m.log.AppendPrepare(txid, gtid); err != nil {
-		m.undoWAL(startLSN)
-		return 0, err
-	}
-	if !m.opts.NoSync {
-		if err := m.log.Sync(); err != nil {
-			m.undoWAL(startLSN)
-			return 0, err
-		}
-	}
-	return m.st.Pool().AdvanceEpoch(), nil
 }
 
 // decideJoinedLog writes (and fsyncs) the shard-local commit record for
@@ -159,9 +117,9 @@ func (m *Manager) prepareJoinedSync(txid oid.TxID, tr *tracker, gtid uint64) (ep
 // shard is poisoned (recovery will finish the job from the prepare
 // record plus the coordinator log) and the caller still publishes — the
 // commit IS durable. Caller holds the writer mutex; the shard's
-// committer is idle for this shard (the prepare ack was the last
-// pipeline activity and the mutex blocks new entrants), so touching the
-// log under logMu is safe. Visibility is the caller's job
+// pipeline is idle (the prepare ack was the last pipeline activity and
+// the mutex blocks new entrants), so touching the log under logMu is
+// safe. Visibility is the caller's job
 // (publishJoined): the record-write with its fsync is kept out of the
 // coordinator's publication lock so readers never wait on it.
 func (m *Manager) decideJoinedLog(txid oid.TxID) error {
@@ -177,12 +135,10 @@ func (m *Manager) decideJoinedLog(txid oid.TxID) error {
 		m.poison(fmt.Errorf("2pc decide (decision is durable in the coordinator log): %w", err))
 		return err
 	}
-	if m.gc != nil {
-		// The kick is just a non-blocking channel send; the checkpointer
-		// cannot run until the coordinator releases this shard's mutex,
-		// by which point the epoch is published.
-		m.maybeKickCheckpoint(size)
-	}
+	// The kick is just a non-blocking channel send; the checkpointer
+	// cannot run until the coordinator releases this shard's mutex, by
+	// which point the epoch is published.
+	m.maybeKickCheckpoint(size)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ode/internal/faultfs"
+	"ode/internal/oid"
 	"ode/internal/storage"
 )
 
@@ -133,6 +134,162 @@ func TestPrepareBehindFailingBatch(t *testing.T) {
 			t.Fatalf("commit on %v after the failed batch: %v", shards, err)
 		}
 	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPrepareLeadsFailingBatch has a 2PC prepare owner lead a batch
+// that also carries an earlier local commit, and fails that batch's
+// fsync. The owner already holds the shard's writer mutex, so it must
+// roll the whole batch back itself — its own prepare first — without
+// re-taking the mutex, and leave nothing for the coordinator's own
+// rollback to undo. Both writers rewrite the same shard-0 record, so
+// a second rollback of the prepare would bring the local write back.
+func TestPrepareLeadsFailingBatch(t *testing.T) {
+	g := &gateFS{FS: faultfs.NewMem(), name: ShardWALFileName(0)}
+	opts := Options{
+		Shards:          2,
+		Storage:         storage.Options{PageSize: 512, FS: g},
+		CheckpointBytes: -1,
+		FS:              g,
+	}
+	c, err := OpenCoordinator("/db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// write rewrites the shard-0 record base while rewrite is set, and
+	// otherwise inserts payload on every shard it joins.
+	var base oid.RID
+	rewrite := false
+	write := func(payload string, shards ...int) error {
+		return c.Write(func(w *WriteTx) error {
+			for _, s := range shards {
+				v, err := w.Join(s)
+				if err != nil {
+					return err
+				}
+				h := storage.NewHeap(v, nil)
+				if s == 0 && rewrite {
+					err = h.Update(base, []byte(payload))
+				} else {
+					_, err = h.Insert([]byte(payload))
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	if err := c.Write(func(w *WriteTx) error {
+		v, err := w.Join(0)
+		if err != nil {
+			return err
+		}
+		base, err = storage.NewHeap(v, nil).Insert([]byte("base0"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rewrite = true
+	m := c.ms()[0]
+
+	// The local writer prepares — its request is queued — and only then
+	// reaches its flush, once the test lets it. Until then the 2PC
+	// prepare owner finds the request queued ahead of its own and leads
+	// the batch carrying both.
+	queued := make(chan struct{})
+	proceed := make(chan struct{})
+	local := make(chan error, 1)
+	go func() {
+		req, err := m.prepare(func(v *storage.TxView) error {
+			return storage.NewHeap(v, nil).Update(base, []byte("local"))
+		})
+		close(queued)
+		if err != nil {
+			local <- err
+			return
+		}
+		<-proceed
+		err = m.gc.commit(req, false)
+		recycleFrames(req)
+		local <- err
+	}()
+	<-queued
+
+	g.arm()
+	close(g.release) // the next wal.000 fsync fails at once
+	cross := make(chan error, 1)
+	go func() { cross <- write("cross", 0, 1) }()
+
+	// The prepare owner must come back on its own: the local writer has
+	// not reached its flush, so nobody else can lead or roll back.
+	select {
+	case err := <-cross:
+		if !errors.Is(err, errGateSync) {
+			t.Fatalf("cross-shard commit: err = %v, want the failed fsync", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cross-shard commit not acked within 5s of the failed fsync")
+	}
+	close(proceed)
+	select {
+	case err := <-local:
+		if !errors.Is(err, errGateSync) {
+			t.Fatalf("local commit: err = %v, want the failed fsync", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("local commit not acked within 5s of the failed fsync")
+	}
+	// One shard-level abort: the local commit. The prepare's abort is
+	// the coordinator's to count.
+	if got := m.Stats().Aborts; got != 1 {
+		t.Errorf("shard 0 aborts = %d, want 1", got)
+	}
+
+	// Neither writer left anything behind, in memory or on disk.
+	assertGone := func(c *Coordinator) {
+		t.Helper()
+		for s, m := range c.ms() {
+			if err := m.Read(func(v *storage.TxView) error {
+				return storage.NewHeap(v, nil).Scan(func(_ oid.RID, data []byte) (bool, error) {
+					if p := string(data); p == "local" || p == "cross" {
+						t.Errorf("shard %d holds the failed %s write", s, p)
+					}
+					return true, nil
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.ms()[0].Read(func(v *storage.TxView) error {
+			data, err := storage.NewHeap(v, nil).Read(base)
+			if err == nil && string(data) != "base0" {
+				t.Errorf("shard-0 record = %q, want %q", data, "base0")
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertGone(c)
+
+	// Nothing was poisoned: both shards take local and 2PC commits.
+	rewrite = false
+	for _, shards := range [][]int{{0}, {1}, {0, 1}} {
+		if err := write("after", shards...); err != nil {
+			t.Fatalf("commit on %v after the failed batch: %v", shards, err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err = OpenCoordinator("/db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGone(c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,9 @@
 //
 // The durability contract: when Write returns nil, the transaction's
 // effects survive a crash (its page images and commit record are fsynced
-// in the WAL before the writer lock is released). A transaction that
-// returns an error, or panics, is rolled back completely.
+// in the WAL before Write returns; NoSync gives that guarantee up). A
+// transaction that returns an error, or panics, is rolled back
+// completely.
 //
 // Concurrency: writers serialise on a narrow mutex; readers never take
 // it. Read pins a buffer-pool epoch (advanced by each commit after WAL
@@ -63,9 +64,10 @@ var ErrPoisoned = errors.New("txn: manager disabled by earlier I/O error; reopen
 type Options struct {
 	// Storage is forwarded to the storage layer.
 	Storage storage.Options
-	// NoSync disables the fsync at commit (and checkpoint). Throughput
-	// rises at the price of durability of the most recent commits; used
-	// by benchmarks to isolate CPU costs.
+	// NoSync commits through the same group-commit path without the
+	// fsync (checkpoints and 2PC decision records skip theirs too).
+	// Throughput rises at the price of durability of the most recent
+	// commits; used by benchmarks to isolate CPU costs.
 	NoSync bool
 	// CheckpointBytes overrides DefaultCheckpointBytes; <0 disables
 	// automatic checkpoints.
@@ -74,12 +76,6 @@ type Options struct {
 	// real OS. The crash-consistency matrix installs a fault-injecting
 	// implementation (internal/faultfs) here.
 	FS faultfs.FS
-	// NoGroupCommit forces the pre-batching commit path: every commit
-	// appends and fsyncs its own records while holding the writer mutex.
-	// Benchmarks use it as the baseline group commit is measured against;
-	// it is also implied by NoSync (with no fsync to share there is
-	// nothing to batch) and by ReadOnly.
-	NoGroupCommit bool
 	// NoMetrics disables the observability registry entirely: no
 	// counters, no histograms, no timestamps on the commit path. It
 	// exists for the overhead benchmark (E13), which compares the
@@ -131,12 +127,6 @@ func (o *Options) walFileName() string {
 	return WALFileName
 }
 
-// grouped reports whether the manager should commit via the group
-// committer.
-func (o *Options) grouped() bool {
-	return !o.NoSync && !o.NoGroupCommit && !o.Storage.ReadOnly
-}
-
 // fsys resolves the filesystem the manager should use: Options.FS, then
 // the storage-level hook, then the real OS.
 func (o *Options) fsys() faultfs.FS {
@@ -156,8 +146,8 @@ type Stats struct {
 	Checkpoints   uint64
 	RecoveredTxns uint64
 	WALBytes      int64
-	// Batches counts group-commit fsyncs; Commits/Batches is the mean
-	// group size. Zero when group commit is disabled.
+	// Batches counts group-commit flushes (one fsync each unless NoSync);
+	// Commits/Batches is the mean group size.
 	Batches uint64
 }
 
@@ -174,18 +164,16 @@ type Manager struct {
 	opts   Options
 	nextTx uint64 // in-memory: txids only disambiguate within one log lifetime
 
-	// logMu guards the WAL when group commit is on: the committer
-	// goroutine appends and fsyncs batches without holding mu, while
-	// checkpoints (under mu, pipeline drained) append markers and reset.
-	// Lock order is mu before logMu; a logMu holder never takes mu.
-	// Without group commit all log access is already serialised under mu
-	// and logMu is uncontended.
+	// logMu guards the WAL: a batch leader appends and fsyncs without
+	// necessarily holding mu, while checkpoints (under mu, pipeline
+	// drained) append markers and reset. Lock order is mu before logMu;
+	// a logMu holder never takes mu.
 	logMu sync.Mutex
 	log   *wal.Log
 
-	// gc is the group committer (nil when Options.grouped() is false).
-	// The checkpointer goroutine exists under the same condition and
-	// coalesces WAL-size-triggered checkpoints off the commit path.
+	// gc is the commit queue every write goes through. The checkpointer
+	// goroutine coalesces WAL-size-triggered checkpoints off the commit
+	// path.
 	gc       *groupCommitter
 	ckptKick chan struct{}
 	ckptStop chan struct{}
@@ -210,9 +198,9 @@ type Manager struct {
 	recovered   uint64       // set once at open, read-only after
 	walBytes    atomic.Int64 // mirror of log.Size(), updated under mu
 
-	// statsMu serialises commits/batches updaters (the committer
-	// goroutine and the writeSync path can otherwise race); statsSeq is
-	// the seqlock generation — odd while an update is in flight.
+	// statsMu serialises commits/batches updaters (a batch leader and a
+	// read-only Write can otherwise race); statsSeq is the seqlock
+	// generation — odd while an update is in flight.
 	statsMu  sync.Mutex
 	statsSeq atomic.Uint64
 
@@ -264,6 +252,15 @@ func (tr *tracker) BeforeMutate(id oid.PageID, before []byte, wasDirty bool) {
 	}
 	tr.before[id] = beforeImage{data: before, wasDirty: wasDirty}
 }
+
+// reset forgets every captured page, leaving nothing to roll back.
+func (tr *tracker) reset() {
+	clear(tr.before)
+	clear(tr.allocated)
+}
+
+// dirty reports whether the transaction touched any page.
+func (tr *tracker) dirty() bool { return len(tr.before)+len(tr.allocated) > 0 }
 
 // DidAllocate implements storage.MutationTracker.
 func (tr *tracker) DidAllocate(id oid.PageID) { tr.allocated[id] = true }
@@ -359,12 +356,9 @@ func (m *Manager) addCommitsBatches(commits, batches uint64) {
 	m.statsMu.Unlock()
 }
 
-// startPipeline launches the group committer and the background
-// checkpointer when the options call for them.
+// startPipeline builds the commit queue and launches the background
+// checkpointer.
 func (m *Manager) startPipeline() {
-	if !m.opts.grouped() {
-		return
-	}
 	m.gc = newGroupCommitter(m)
 	m.ckptKick = make(chan struct{}, 1)
 	m.ckptStop = make(chan struct{})
@@ -641,15 +635,11 @@ func (m *Manager) isClosed() bool {
 // commit becomes durable keep their snapshot; ones admitted after see
 // the new state.
 //
-// With group commit (the default for a sync-writable manager), fn runs
-// under the writer lock but the commit fsync does not: the transaction
-// is prepared — frames staged, prepared epoch advanced — and then waits
-// off-lock for the committer goroutine to fsync it along with every
-// other transaction prepared in the same window.
+// fn runs under the writer lock but the commit fsync does not: the
+// transaction is prepared — frames staged, prepared epoch advanced —
+// and then, off-lock, either leads a group flush itself or waits for
+// the one in flight to cover it (see group.go).
 func (m *Manager) Write(fn func(*storage.TxView) error) error {
-	if m.gc == nil {
-		return m.writeSync(fn)
-	}
 	var start time.Time
 	if m.timed() {
 		start = time.Now()
@@ -662,14 +652,14 @@ func (m *Manager) Write(fn func(*storage.TxView) error) error {
 		}
 		return err
 	}
-	err = <-req.done
-	// The ack means the committer is finished with the staged frames
+	err = m.gc.commit(req, false)
+	// The ack means the flush is finished with the staged frames
 	// (spliced and fsynced, or rolled back and truncated), so the buffer
 	// can be recycled for the next commit.
 	recycleFrames(req)
 	if err != nil {
-		// The whole prepared suffix was rolled back by the committer
-		// (failSuffix) before this ack; nothing left to undo here.
+		// The whole prepared suffix was rolled back by the failing
+		// leader (failSuffix) before this ack; nothing left to undo here.
 		return fmt.Errorf("txn: commit: %w", err)
 	}
 	m.observeCommit(uint64(req.txid), start)
@@ -682,7 +672,7 @@ func (m *Manager) Write(fn func(*storage.TxView) error) error {
 var framesPool = sync.Pool{New: func() any { return new(wal.Frames) }}
 
 // recycleFrames returns a commit's staged frames to the pool once the
-// committer's ack guarantees no one references them.
+// request's ack guarantees no one references them.
 func recycleFrames(req *commitReq) {
 	if req.fr == nil {
 		return
@@ -707,19 +697,15 @@ func (m *Manager) observeCommit(txid uint64, start time.Time) {
 }
 
 // prepare runs fn and, on success, stages the transaction's WAL frames,
-// advances the prepared epoch and enqueues it for the group committer —
-// all while holding the writer lock. It returns (nil, nil) for a
+// advances the prepared epoch and enqueues it for a group flush — all
+// while holding the writer lock. It returns (nil, nil) for a
 // transaction with nothing to log. Any error (from fn or staging) has
 // already been rolled back.
 func (m *Manager) prepare(fn func(*storage.TxView) error) (*commitReq, error) {
-	m.mu.Lock()
+	if err := m.lockWriter(); err != nil {
+		return nil, err
+	}
 	defer m.mu.Unlock()
-	if m.isClosed() {
-		return nil, ErrClosed
-	}
-	if m.ioErr != nil {
-		return nil, fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
-	}
 	// prepStart only feeds span durations, so without a tracer neither
 	// the clock read nor the event construction happens.
 	var prepStart time.Time
@@ -757,119 +743,21 @@ func (m *Manager) prepare(fn func(*storage.TxView) error) (*commitReq, error) {
 		m.addCommitsBatches(1, 0)
 		return nil, nil // read-only "write" transaction
 	}
-	// Stage the commit record run. The images are encoded once, directly
-	// into the frame buffer here, under the lock, while they are this
-	// transaction's final state; the committer splices the frozen bytes
-	// later. Grow reserves the whole run up front (8-byte frame header
-	// plus ≤10 bytes of record prelude per page image, with slack for
-	// begin/commit/prepare) so staging never reallocates mid-loop.
-	fr := framesPool.Get().(*wal.Frames)
-	fr.Reset()
-	fr.Grow(len(touched)*(m.st.PageSize()+18) + 64)
-	fr.Begin(txid)
-	for _, id := range touched {
-		p, err := m.st.Get(id)
-		if err != nil {
-			done = true
-			m.rollback(tr)
-			if m.sink != nil {
-				m.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(txid), Dur: time.Since(prepStart), Err: err.Error()})
-			}
-			return nil, fmt.Errorf("txn: commit: %w", err)
+	fr, err := m.stage(txid, touched, 0, false)
+	if err != nil {
+		done = true
+		m.rollback(tr)
+		if m.sink != nil {
+			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(txid), Dur: time.Since(prepStart), Err: err.Error()})
 		}
-		fr.PageImage(txid, id, p.Data)
+		return nil, fmt.Errorf("txn: commit: %w", err)
 	}
-	fr.Commit(txid)
-	// The in-memory commit point: pages mutated by later transactions
-	// will COW against snapshots tagged at the new epoch. Readers keep
-	// pinning the durable epoch until our batch's fsync lands.
-	epoch := m.st.Pool().AdvanceEpoch()
-	req := &commitReq{txid: txid, tr: tr, fr: fr, epoch: epoch, done: make(chan error, 1)}
-	m.gc.enqueue(req)
+	req := m.enqueue(txid, tr, fr, false)
 	done = true
 	if m.sink != nil {
 		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanPrepare, Tx: uint64(txid), Dur: time.Since(prepStart)})
 	}
 	return req, nil
-}
-
-// writeSync is the pre-batching commit path (NoSync or NoGroupCommit):
-// fn, WAL append, fsync and checkpoint all happen under the writer lock.
-// The latency observation happens after the lock is released so that
-// instrumentation cost overlaps with the next committer's serial work
-// instead of extending it.
-func (m *Manager) writeSync(fn func(*storage.TxView) error) error {
-	var start time.Time
-	if m.timed() {
-		start = time.Now()
-	}
-	txid, err := m.writeSyncLocked(fn, start)
-	if err != nil {
-		return err
-	}
-	m.observeCommit(uint64(txid), start)
-	return nil
-}
-
-// writeSyncLocked is writeSync's body under the writer lock; it returns
-// the committed transaction id for the caller's latency observation.
-func (m *Manager) writeSyncLocked(fn func(*storage.TxView) error, start time.Time) (oid.TxID, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	defer func() { m.walBytes.Store(m.log.Size()) }()
-	if m.isClosed() {
-		return 0, ErrClosed
-	}
-	if m.opts.Storage.ReadOnly {
-		return 0, ErrReadOnly
-	}
-	if m.ioErr != nil {
-		return 0, fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
-	}
-	tr := newTracker()
-	v := m.st.OpenWriter(tr)
-	m.nextTx++
-	txid := oid.TxID(m.nextTx)
-	if m.sink != nil {
-		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanBegin, Tx: uint64(txid)})
-	}
-
-	done := false
-	defer func() {
-		v.Close()
-		if !done {
-			// fn panicked: roll back, then let the panic continue.
-			m.rollback(tr)
-		}
-	}()
-
-	if err := fn(v); err != nil {
-		done = true
-		m.rollback(tr)
-		if m.sink != nil {
-			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(txid), Dur: time.Since(start), Err: err.Error()})
-		}
-		return 0, err
-	}
-	durable, err := m.commit(txid, tr)
-	if err != nil {
-		done = true
-		if !durable {
-			m.rollback(tr)
-			if m.sink != nil {
-				m.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(txid), Dur: time.Since(start), Err: err.Error()})
-			}
-			return 0, fmt.Errorf("txn: commit: %w", err)
-		}
-		// The commit IS durable (its records are fsynced in the WAL);
-		// only post-commit maintenance — the automatic checkpoint —
-		// failed. Rolling back here would contradict the durable state,
-		// so keep the in-memory effects and surface the error. The
-		// manager is already poisoned; only a reopen resumes writes.
-		return 0, fmt.Errorf("txn: post-commit checkpoint (commit IS durable): %w", err)
-	}
-	done = true
-	return txid, nil
 }
 
 // Exclusive runs fn while holding the writer lock, with no transaction
@@ -883,80 +771,6 @@ func (m *Manager) Exclusive(fn func() error) error {
 		return ErrClosed
 	}
 	return fn()
-}
-
-// commit logs the transaction's dirty pages and makes them durable.
-// durable reports whether the commit record reached stable storage:
-// when false the caller must roll back; when true the effects are
-// permanent regardless of err (which can then only come from the
-// post-commit checkpoint).
-func (m *Manager) commit(txid oid.TxID, tr *tracker) (durable bool, err error) {
-	// This path only runs when the group committer is absent, so the
-	// batches counter never moves: a bare add cannot produce a torn
-	// commits/batches pair and the stats seqlock is skipped.
-	touched := tr.touchedPages()
-	if len(touched) == 0 {
-		m.commits.Add(1)
-		return false, nil // read-only "write" transaction
-	}
-	// Remember where this transaction's records start so a failed
-	// append or sync can erase them: once we report an error the commit
-	// must never resurface via recovery.
-	startLSN := m.log.End()
-	if _, err := m.log.AppendBegin(txid); err != nil {
-		m.undoWAL(startLSN)
-		return false, err
-	}
-	for _, id := range touched {
-		p, err := m.st.Get(id)
-		if err != nil {
-			m.undoWAL(startLSN)
-			return false, err
-		}
-		if _, err := m.log.AppendPageImage(txid, id, p.Data); err != nil {
-			m.undoWAL(startLSN)
-			return false, err
-		}
-	}
-	if _, err := m.log.AppendCommit(txid); err != nil {
-		m.undoWAL(startLSN)
-		return false, err
-	}
-	if !m.opts.NoSync {
-		if err := m.log.Sync(); err != nil {
-			// The fsync failed: the records may or may not be on disk.
-			// They must not be replayable — the caller will report this
-			// commit as failed and roll it back.
-			m.undoWAL(startLSN)
-			return false, err
-		}
-	}
-	m.commits.Add(1)
-	// The commit is durable: advance the epoch so new readers see it.
-	// On this synchronous path prepared and durable move in lockstep
-	// (under NoSync "durable" means "logged" — same contract as before
-	// group commit existed). Readers pinned at earlier epochs keep their
-	// snapshots (reclaimed when the last of them unpins). This precedes
-	// the checkpoint so a checkpoint failure cannot strand readers on a
-	// stale epoch.
-	m.st.Pool().AdvanceDurableTo(m.st.Pool().AdvanceEpoch())
-	if err := m.maybeCheckpoint(); err != nil {
-		// The commit is durable but the page file and WAL may now
-		// disagree with the pool's clean/dirty bookkeeping; only
-		// recovery reconciles that. Disable further writes.
-		m.poison(err)
-		return true, err
-	}
-	return true, nil
-}
-
-// undoWAL erases a failed commit's records from the log. If even that
-// fails the manager is poisoned: the records might survive a crash and
-// be replayed, which would resurrect a commit we reported as failed.
-func (m *Manager) undoWAL(startLSN oid.LSN) {
-	if err := m.log.TruncateTo(startLSN); err != nil {
-		m.poison(fmt.Errorf("cannot erase failed commit from WAL: %w", err))
-	}
 }
 
 // poison permanently disables writes on this manager (reads stay
@@ -1006,19 +820,8 @@ func (m *Manager) rollbackQuiet(tr *tracker) {
 	}
 }
 
-func (m *Manager) maybeCheckpoint() error {
-	limit := m.opts.CheckpointBytes
-	if limit == 0 {
-		limit = DefaultCheckpointBytes
-	}
-	if limit < 0 || m.log.Size() < limit {
-		return nil
-	}
-	return m.checkpointLocked()
-}
-
-// Checkpoint forces the page file current and truncates the WAL. With
-// group commit it first drains the commit pipeline: the page flush must
+// Checkpoint forces the page file current and truncates the WAL. It
+// first drains the commit pipeline: the page flush must
 // only ever persist effects of durable transactions (flushing a
 // prepared-but-unfsynced transaction and then resetting the WAL could
 // make a commit durable that its writer was told failed).
@@ -1029,12 +832,12 @@ func (m *Manager) Checkpoint() error {
 			m.mu.Unlock()
 			return ErrClosed
 		}
-		if m.gc == nil || m.gc.pipelineIdle() {
+		if m.gc.pipelineIdle() {
 			// Idle is stable while we hold mu: enqueueing requires it.
 			break
 		}
 		m.mu.Unlock()
-		m.gc.waitIdle() // off-lock: the committer may need mu to fail a batch
+		m.gc.waitIdle() // off-lock: a failing leader may need mu
 	}
 	defer m.mu.Unlock()
 	return m.checkpointLocked()
@@ -1050,7 +853,7 @@ func (m *Manager) checkpointQuiet() error {
 			m.mu.Unlock()
 			return ErrClosed
 		}
-		if m.gc == nil || m.gc.pipelineIdle() {
+		if m.gc.pipelineIdle() {
 			break
 		}
 		m.mu.Unlock()
@@ -1127,7 +930,7 @@ func (m *Manager) Close() error {
 	m.closed = true
 	m.rmu.Unlock()
 	// Drain and stop the tracer sink on the way out (after mu is
-	// released): every span source — writers, the committer, the
+	// released): every span source — writers, batch leaders, the
 	// checkpointer — is gone by then. A tracer stuck inside TraceSpan
 	// forfeits the queue after a grace period rather than hanging Close.
 	// A coordinated shard shares the coordinator's sink and leaves it
@@ -1138,22 +941,18 @@ func (m *Manager) Close() error {
 	// New readers are now refused; drain the in-flight ones so no
 	// snapshot view outlives the store.
 	m.readers.Wait()
-	if m.gc != nil {
-		// Stop the background checkpointer first: it takes mu inside
-		// Checkpoint, so it must be gone before Close camps on the lock.
-		close(m.ckptStop)
-		m.ckptWG.Wait()
-		// Writer barrier: any Write that passed the closed check holds mu
-		// until it has enqueued, so after one lock/unlock round trip the
-		// queue holds every outstanding commit and no more can arrive.
-		// Then stop the committer, which drains (and acks) that queue.
-		// mu must NOT be held across the wait: a failing final batch
-		// takes it to roll the suffix back.
-		m.mu.Lock()
-		m.mu.Unlock() //nolint:staticcheck // empty critical section is the point
-		m.gc.stop()
-		m.gc.wait()
-	}
+	// Stop the background checkpointer first: it takes mu inside
+	// Checkpoint, so it must be gone before Close camps on the lock.
+	close(m.ckptStop)
+	m.ckptWG.Wait()
+	// Writer barrier: any Write that passed the closed check holds mu
+	// until it has enqueued, so after one lock/unlock round trip the
+	// queue holds every outstanding commit and no more can arrive. Their
+	// writers lead the flushes that drain it. mu must NOT be held across
+	// the wait: a failing final batch takes it to roll the suffix back.
+	m.mu.Lock()
+	m.mu.Unlock() //nolint:staticcheck // empty critical section is the point
+	m.gc.waitIdle()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.opts.Storage.ReadOnly {

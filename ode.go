@@ -149,14 +149,10 @@ type Options struct {
 	PageSize int
 	// PoolPages is the buffer-pool capacity in pages (default 1024).
 	PoolPages int
-	// NoSync disables fsync on commit. Much faster; the most recent
-	// commits may be lost on a crash (database integrity is preserved).
+	// NoSync commits through the same group-commit path without the
+	// fsync. Much faster; the most recent commits may be lost on a crash
+	// (database integrity is preserved).
 	NoSync bool
-	// NoGroupCommit disables group commit: every Update then appends and
-	// fsyncs its own WAL records while holding the writer lock, instead
-	// of sharing one fsync with every transaction committing in the same
-	// window. Benchmarks use it as the pre-batching baseline.
-	NoGroupCommit bool
 	// CheckpointBytes sets the WAL size that triggers a checkpoint;
 	// <0 disables automatic checkpoints.
 	CheckpointBytes int64
@@ -221,7 +217,6 @@ func Open(dir string, opts *Options) (*DB, error) {
 	topts := txn.Options{
 		Shards:          o.Shards,
 		NoSync:          o.NoSync,
-		NoGroupCommit:   o.NoGroupCommit,
 		CheckpointBytes: o.CheckpointBytes,
 		FS:              o.FS,
 		NoMetrics:       o.NoMetrics,
@@ -355,9 +350,9 @@ type Stats struct {
 	Aborts      uint64
 	Checkpoints uint64
 	WALBytes    int64
-	// Batches counts group-commit fsyncs; Commits/Batches is the mean
-	// number of transactions sharing one fsync. Zero with NoGroupCommit
-	// or NoSync.
+	// Batches counts group-commit flushes — one WAL fsync each, or one
+	// unsynced append under NoSync; Commits/Batches is the mean number
+	// of transactions sharing one flush.
 	Batches uint64
 	// RecoveredTxns counts committed transactions replayed from the WAL
 	// by crash recovery at Open.

@@ -55,10 +55,9 @@ func statsScript(t *testing.T, db *DB, k, j int) {
 func TestStatsAccuracy(t *testing.T) {
 	const k, j = 5, 3
 	// Expected commits: init-structures (1) + RegisterType (1) + k
-	// creates + 1 empty commit. Batches: with group commit every
-	// sequential non-empty commit is its own fsync batch — the empty
-	// commit never enters the pipeline — and NoGroupCommit/NoSync
-	// bypass batching entirely.
+	// creates + 1 empty commit. Batches: every sequential non-empty
+	// commit is its own flush batch — the empty commit never enters the
+	// pipeline — and NoSync takes the same path, only without the fsync.
 	const wantCommits = 2 + k + 1
 	cases := []struct {
 		name        string
@@ -66,8 +65,7 @@ func TestStatsAccuracy(t *testing.T) {
 		wantBatches uint64
 	}{
 		{"grouped", Options{CheckpointBytes: -1}, 2 + k},
-		{"nogroupcommit", Options{CheckpointBytes: -1, NoGroupCommit: true}, 0},
-		{"nosync", Options{CheckpointBytes: -1, NoSync: true}, 0},
+		{"nosync", Options{CheckpointBytes: -1, NoSync: true}, 2 + k},
 		{"nometrics", Options{CheckpointBytes: -1, NoMetrics: true}, 2 + k},
 	}
 	for _, tc := range cases {
@@ -129,7 +127,7 @@ func TestStatsAccuracy(t *testing.T) {
 				if ms.BatchSize.Sum != wantCommits-1 {
 					t.Errorf("Sum(BatchSize) = %d, want %d", ms.BatchSize.Sum, wantCommits-1)
 				}
-				if ms.WALFsyncLatency.Count == 0 {
+				if !tc.opts.NoSync && ms.WALFsyncLatency.Count == 0 {
 					t.Error("durable run recorded no WAL fsyncs")
 				}
 			}
