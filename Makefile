@@ -11,7 +11,7 @@ help:
 	@echo "Targets:"
 	@echo "  build    go build ./..."
 	@echo "  test     go test ./..."
-	@echo "  vet      go vet ./..."
+	@echo "  vet      go vet ./..., and fail when gofmt -l . lists any file"
 	@echo "  race     full test suite under -race"
 	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race)"
 	@echo "  soak     metrics-reconciling soak suite at 1 and 4 shards (-race);"
@@ -37,8 +37,12 @@ build:
 test:
 	$(GO) test ./...
 
+# gofmt is part of vet: any file gofmt would rewrite fails the target
+# (and so make check and CI), naming the files.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+	  echo "gofmt -l . lists files that are not gofmt-formatted:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

@@ -17,6 +17,9 @@ import (
 //  3. the derived-from relation is acyclic, with every dprev pointing at
 //     a live version of the same object (a forest rooted at versions
 //     with nil dprev);
+//     3b. every dprev is strictly older (smaller stamp) than its child,
+//     so the latest version has no D-children — UpdateLatest relies on
+//     it to skip the D-children scans;
 //  4. the temporal index and vid index agree with the version records;
 //  5. delta/shared payloads have a live parent and consistent depth.
 //
@@ -77,22 +80,19 @@ func (tx *shardTx) CheckObject(o oid.OID) error {
 		return fmt.Errorf("%v: chain tail %v but latest %v", o, prev, h.latest)
 	}
 
-	// (3) derived-from acyclicity and liveness.
+	// (3) derived-from liveness; (3b) parents are older, which also
+	// makes the relation acyclic: stamps strictly fall along every
+	// dprev path.
 	for v, rec := range recs {
 		if rec.dprev.IsNil() {
 			continue
 		}
-		if _, ok := recs[rec.dprev]; !ok {
+		parent, ok := recs[rec.dprev]
+		if !ok {
 			return fmt.Errorf("%v: %v derived from dead version %v", o, v, rec.dprev)
 		}
-		// Walk to the root; a cycle would exceed len(recs) hops.
-		cur, hops := v, 0
-		for !cur.IsNil() {
-			if hops > len(recs) {
-				return fmt.Errorf("%v: derived-from cycle through %v", o, v)
-			}
-			cur = recs[cur].dprev
-			hops++
+		if parent.stamp >= rec.stamp {
+			return fmt.Errorf("%v: %v derived from %v, which is not older", o, v, rec.dprev)
 		}
 	}
 

@@ -1019,3 +1019,72 @@ func TestInfoFields(t *testing.T) {
 		return nil
 	})
 }
+
+// TestCheckObjectDetectsCorruption hand-corrupts version records and
+// the header of a small branched object (v0 root; v1 and v2 both
+// derived from v0) and checks CheckObject names each broken invariant.
+func TestCheckObjectDetectsCorruption(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(b *shardTx, o oid.OID, v [3]oid.VID) error
+	}{
+		{"dprev newer than child (3b)", "not older", func(b *shardTx, o oid.OID, v [3]oid.VID) error {
+			return setDprev(b, o, v[1], v[2])
+		}},
+		{"dprev cycle (3b)", "not older", func(b *shardTx, o oid.OID, v [3]oid.VID) error {
+			return setDprev(b, o, v[0], v[1])
+		}},
+		{"dprev dead (3)", "dead version", func(b *shardTx, o oid.OID, v [3]oid.VID) error {
+			return setDprev(b, o, v[1], v[2]+1000)
+		}},
+		{"latest not the temporal maximum (2)", "chain tail", func(b *shardTx, o oid.OID, v [3]oid.VID) error {
+			h, err := b.loadHeader(o)
+			if err != nil {
+				return err
+			}
+			h.latest = v[1]
+			return b.storeHeader(o, h)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEngine(t, Options{})
+			ty := mustType(t, e, "T")
+			var o oid.OID
+			var v [3]oid.VID
+			w(t, e, func(tx *Tx) error {
+				var err error
+				if o, v[0], err = tx.Create(ty, []byte("root")); err != nil {
+					return err
+				}
+				if v[1], err = tx.NewVersionFrom(o, v[0]); err != nil {
+					return err
+				}
+				v[2], err = tx.NewVersionFrom(o, v[0])
+				return err
+			})
+			w(t, e, func(tx *Tx) error { return tx.CheckObject(o) })
+			w(t, e, func(tx *Tx) error {
+				b, err := tx.shardW(tx.byO(o))
+				if err != nil {
+					return err
+				}
+				return c.corrupt(b, o, v)
+			})
+			err := e.Read(func(tx *Tx) error { return tx.CheckObject(o) })
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("CheckObject = %v, want an error containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+// setDprev rewrites v's derived-from parent to p, bypassing every
+// engine rule.
+func setDprev(b *shardTx, o oid.OID, v, p oid.VID) error {
+	rec, err := b.loadVer(o, v)
+	if err != nil {
+		return err
+	}
+	rec.dprev = p
+	return b.storeVer(o, v, rec)
+}

@@ -177,9 +177,11 @@ type Engine struct {
 	// generic references (oid, NilVID) → (latest vid, content), so a hot
 	// Deref skips the header probe and payload walk entirely. Both are
 	// vcache instances with their own budgets; entries are tagged with
-	// the reading snapshot's (shard, epoch) and only served to readers
-	// pinned at exactly that pair, so no invalidation is needed and a
-	// live reshard can never serve stale placement.
+	// the reading snapshot's (shard, epoch) and stay valid until their
+	// own object changes: every write of an object's header or version
+	// records raises its epoch mark in both (shardTx.invalidate) before
+	// the commit can be published, and a reshard move marks the object
+	// on both shards, so a live reshard can never serve stale placement.
 	cache  *vcache.Cache
 	dcache *vcache.Cache
 
@@ -248,6 +250,11 @@ type shardTx struct {
 	al *shardAlloc
 
 	writable bool
+	// commitEpoch is the epoch a writable bundle's commit will take on
+	// this shard: the prepared epoch + 1, read at the join. The writer
+	// mutex is held from the join until this transaction's own epoch
+	// advance, so no other commit can take it first.
+	commitEpoch uint64
 }
 
 // New wires an engine over a single standalone manager, creating the
@@ -352,7 +359,7 @@ func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
 // newShardTx binds a shard bundle to v, opening every tree at the root
 // the view's superblock snapshot records.
 func (e *Engine) newShardTx(v *storage.TxView, hs *storage.HeapState, rt *Tx, s int, writable bool) *shardTx {
-	return &shardTx{
+	b := &shardTx{
 		e:        e,
 		rt:       rt,
 		s:        s,
@@ -369,6 +376,10 @@ func (e *Engine) newShardTx(v *storage.TxView, hs *storage.HeapState, rt *Tx, s 
 		vidIdx:   *btree.Open(v, v.Root(rootVidIdx)),
 		writable: writable,
 	}
+	if writable {
+		b.commitEpoch = v.Epoch() + 1
+	}
+	return b
 }
 
 // takeHeapSpace hands out shard s's heap free-space cache, growing the
@@ -655,7 +666,20 @@ func (tx *shardTx) loadHeader(o oid.OID) (objHeader, error) {
 }
 
 func (tx *shardTx) storeHeader(o oid.OID, h objHeader) error {
+	tx.invalidate(o)
 	return tx.objTable.Put(objKey(o), h.encode())
+}
+
+// invalidate raises o's epoch mark on this shard in both version caches
+// to the epoch this transaction will commit at, so no entry of o filled
+// from an older snapshot is served once that epoch is published. Every
+// write of o's header or version records calls it first.
+func (tx *shardTx) invalidate(o oid.OID) {
+	for _, c := range [2]*vcache.Cache{tx.e.cache, tx.e.dcache} {
+		if c != nil {
+			c.Invalidate(o, tx.s, tx.commitEpoch)
+		}
+	}
 }
 
 // Exists reports whether an object is present.

@@ -6,7 +6,12 @@ package core
 // version contents, latest bindings, derivation parents, and temporal
 // order — and both engines must pass the full invariant check. This is
 // the strongest statement that delta storage is a pure storage policy
-// with no semantic footprint.
+// with no semantic footprint. The operations interleave in-place updates
+// of the latest and of interior versions with branching newversions and
+// interior pdeletes, and the touched object is checked (CheckObject and
+// every version's content) after every single step: an in-place update
+// of the latest version skips the D-children scans, which is only sound
+// while no version ever derives from the latest.
 
 import (
 	"bytes"
@@ -72,6 +77,42 @@ func runPolicyEquivalence(t *testing.T, seed int64) {
 		return out
 	}
 
+	// checkStep validates one object on both engines right after a step:
+	// structural invariants plus every live version's content.
+	checkStep := func(step string, oi int) {
+		m, id := objects[oi], objIDs[oi]
+		if !m.alive {
+			return
+		}
+		for which, pair := range []struct {
+			e *Engine
+			o uint64
+			v map[int]uint64
+		}{
+			{eFull, id.full.o, id.full.v},
+			{eDelta, id.delta.o, id.delta.v},
+		} {
+			err := pair.e.Read(func(tx *Tx) error {
+				if err := tx.CheckObject(toOID(pair.o)); err != nil {
+					return err
+				}
+				for seq, want := range m.versions {
+					got, err := tx.ReadVersion(toOID(pair.o), toVID(pair.v[seq]))
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(got, want) {
+						return fmt.Errorf("seq %d: content mismatch", seq)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("after %s: eng %d obj %d: %v", step, which, oi, err)
+			}
+		}
+	}
+
 	const bursts = 12
 	const opsPerBurst = 25
 	nextSeq := 0
@@ -79,7 +120,7 @@ func runPolicyEquivalence(t *testing.T, seed int64) {
 	for burst := 0; burst < bursts; burst++ {
 		for op := 0; op < opsPerBurst; op++ {
 			alive := aliveObjects()
-			choice := rng.Intn(10)
+			choice := rng.Intn(12)
 			switch {
 			case choice < 2 || len(alive) == 0: // create
 				content := randContent()
@@ -113,6 +154,7 @@ func runPolicyEquivalence(t *testing.T, seed int64) {
 				applyCreate(eFull, uint32(tyF), &id.full.o, id.full.v)
 				applyCreate(eDelta, uint32(tyD), &id.delta.o, id.delta.v)
 				objIDs = append(objIDs, id)
+				checkStep("create", len(objects)-1)
 
 			case choice < 5: // newversion (from latest or from a random base)
 				oi := alive[rng.Intn(len(alive))]
@@ -141,8 +183,9 @@ func runPolicyEquivalence(t *testing.T, seed int64) {
 				}
 				applyNV(eFull, id.full.o, id.full.v)
 				applyNV(eDelta, id.delta.o, id.delta.v)
+				checkStep("newversion", oi)
 
-			case choice < 8: // update a random live version in place
+			case choice < 7: // update a random live version in place
 				oi := alive[rng.Intn(len(alive))]
 				m, id := objects[oi], objIDs[oi]
 				seq := m.temporal[rng.Intn(len(m.temporal))]
@@ -157,11 +200,35 @@ func runPolicyEquivalence(t *testing.T, seed int64) {
 				}
 				applyUp(eFull, id.full.o, id.full.v)
 				applyUp(eDelta, id.delta.o, id.delta.v)
+				checkStep("update", oi)
 
-			case choice < 9: // delete one version
+			case choice < 9: // update the latest version in place
+				oi := alive[rng.Intn(len(alive))]
+				m, id := objects[oi], objIDs[oi]
+				content := randContent()
+				m.versions[m.latest()] = content
+				applyUL := func(e *Engine, o uint64, vm map[int]uint64) {
+					if err := e.Write(func(tx *Tx) error {
+						v, err := tx.UpdateLatest(toOID(o), content)
+						if err == nil && uint64(v) != vm[m.latest()] {
+							err = fmt.Errorf("UpdateLatest wrote %v, model latest is %d", v, vm[m.latest()])
+						}
+						return err
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				applyUL(eFull, id.full.o, id.full.v)
+				applyUL(eDelta, id.delta.o, id.delta.v)
+				checkStep("update-latest", oi)
+
+			case choice < 11: // delete one version, mostly an interior one
 				oi := alive[rng.Intn(len(alive))]
 				m, id := objects[oi], objIDs[oi]
 				seq := m.temporal[rng.Intn(len(m.temporal))]
+				if n := len(m.temporal); n > 2 && rng.Intn(3) > 0 {
+					seq = m.temporal[1+rng.Intn(n-2)]
+				}
 				applyDel := func(e *Engine, o uint64, vm map[int]uint64) {
 					if err := e.Write(func(tx *Tx) error {
 						return tx.DeleteVersion(toOID(o), toVID(vm[seq]))
@@ -191,6 +258,7 @@ func runPolicyEquivalence(t *testing.T, seed int64) {
 					delete(m.versions, seq)
 					delete(m.dprev, seq)
 				}
+				checkStep("delete-version", oi)
 
 			default: // delete whole object
 				oi := alive[rng.Intn(len(alive))]

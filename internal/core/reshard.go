@@ -323,6 +323,11 @@ func collectRangeIDs(t *btree.Tree, lo, hi uint64, limit int) ([]uint64, error) 
 // RID; shared payloads move once), temporal-index entries, extent entry
 // and annotations. Returns the number of version records moved.
 func moveObject(src, dst *shardTx, o oid.OID) (int, error) {
+	// Mark both shards: an entry filled on src before this move must not
+	// serve after a later move back, and dst may still hold one from an
+	// earlier stay of o there.
+	src.invalidate(o)
+	dst.invalidate(o)
 	hraw, ok, err := src.objTable.Get(objKey(o))
 	if err != nil {
 		return 0, err

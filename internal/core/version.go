@@ -78,7 +78,15 @@ func (tx *shardTx) loadVer(o oid.OID, v oid.VID) (verRec, error) {
 }
 
 func (tx *shardTx) storeVer(o oid.OID, v oid.VID, rec verRec) error {
+	tx.invalidate(o)
 	return tx.verIdx.Put(verKey(o, v), rec.encode())
+}
+
+// deleteVer drops one version record.
+func (tx *shardTx) deleteVer(o oid.OID, v oid.VID) error {
+	tx.invalidate(o)
+	_, err := tx.verIdx.Delete(verKey(o, v))
+	return err
 }
 
 // --- object lifecycle ---
@@ -180,9 +188,9 @@ func (tx *shardTx) readContent(o oid.OID, rec verRec) ([]byte, error) {
 // cache for a specific reference (o, v), its dereference cache for the
 // generic reference (o, NilVID)) and returns the vid the reference
 // resolved to with a copy of its content. Only snapshot (read)
-// transactions use the caches: their (shard, epoch) pin is exactly the
-// tag entries are stored under, while a writer reads its own in-flight
-// state which the cache must neither serve nor absorb.
+// transactions use the caches: entries are tagged with and checked
+// against their (shard, epoch) pin, while a writer reads its own
+// in-flight state which the cache must neither serve nor absorb.
 func (tx *shardTx) cacheGet(c *vcache.Cache, o oid.OID, v oid.VID) (oid.VID, []byte, bool) {
 	if c == nil || tx.writable {
 		return oid.NilVID, nil, false
@@ -307,11 +315,40 @@ func (tx *shardTx) UpdateVersion(o oid.OID, v oid.VID, content []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := tx.detachDependents(o, v); err != nil {
+	h, err := tx.loadHeader(o)
+	if err != nil {
 		return err
 	}
-	// Reload: detachDependents may have rewritten rec's entry? (It only
-	// rewrites children.) rec is still current.
+	return tx.updateVersion(o, h, v, rec, content)
+}
+
+// UpdateLatest overwrites the latest version's content (generic-
+// reference assignment).
+func (tx *shardTx) UpdateLatest(o oid.OID, content []byte) (oid.VID, error) {
+	h, err := tx.loadHeader(o)
+	if err != nil {
+		return oid.NilVID, err
+	}
+	rec, err := tx.loadVer(o, h.latest)
+	if err != nil {
+		return oid.NilVID, err
+	}
+	return h.latest, tx.updateVersion(o, h, h.latest, rec, content)
+}
+
+// updateVersion overwrites version v (record rec) of object o (header
+// h). The latest version has no D-children: a D-parent is always older
+// than its child (CheckObject invariant 3b) and the latest version is
+// the newest. So updating it skips the two D-children scans, which
+// decode every version record of the object.
+func (tx *shardTx) updateVersion(o oid.OID, h objHeader, v oid.VID, rec verRec, content []byte) error {
+	leaf := v == h.latest
+	if !leaf {
+		if err := tx.detachDependents(o, v); err != nil {
+			return err
+		}
+	}
+	// detachDependents only rewrites children, so rec is still current.
 	if rec.kind == paySame {
 		// Gains its own payload record now.
 		rec.payload = oid.NilRID
@@ -322,26 +359,14 @@ func (tx *shardTx) UpdateVersion(o oid.OID, v oid.VID, content []byte) error {
 	if err := tx.storeVer(o, v, rec); err != nil {
 		return err
 	}
-	if err := tx.fixDepths(o, v, rec.depth); err != nil {
-		return err
-	}
-	h, err := tx.loadHeader(o)
-	if err != nil {
-		return err
+	if !leaf {
+		if err := tx.fixDepths(o, v, rec.depth); err != nil {
+			return err
+		}
 	}
 	tx.saveRoots()
 	tx.bus.Fire(trigger.Event{Kind: trigger.KindUpdate, Obj: o, VID: v, Type: h.typ, Stamp: rec.stamp, Tx: tx.rt})
 	return nil
-}
-
-// UpdateLatest overwrites the latest version's content (generic-
-// reference assignment).
-func (tx *shardTx) UpdateLatest(o oid.OID, content []byte) (oid.VID, error) {
-	h, err := tx.loadHeader(o)
-	if err != nil {
-		return oid.NilVID, err
-	}
-	return h.latest, tx.UpdateVersion(o, h.latest, content)
 }
 
 // fixDepths recomputes the chain-depth hints of v's dependent
@@ -594,7 +619,7 @@ func (tx *shardTx) DeleteVersion(o oid.OID, v oid.VID) error {
 	if err := tx.dropAnnotations(o, v); err != nil {
 		return err
 	}
-	if _, err := tx.verIdx.Delete(verKey(o, v)); err != nil {
+	if err := tx.deleteVer(o, v); err != nil {
 		return err
 	}
 	if err := tx.rt.delVidIdx(v); err != nil {
@@ -647,7 +672,7 @@ func (tx *shardTx) DeleteObject(o oid.OID) error {
 				return err
 			}
 		}
-		if _, err := tx.verIdx.Delete(verKey(o, en.v)); err != nil {
+		if err := tx.deleteVer(o, en.v); err != nil {
 			return err
 		}
 		if err := tx.rt.delVidIdx(en.v); err != nil {
@@ -660,6 +685,7 @@ func (tx *shardTx) DeleteObject(o oid.OID) error {
 	if err := tx.dropAllAnnotations(o); err != nil {
 		return err
 	}
+	tx.invalidate(o)
 	if _, err := tx.objTable.Delete(objKey(o)); err != nil {
 		return err
 	}

@@ -103,10 +103,10 @@ func FuzzDeltaChain(f *testing.F) {
 // off+n overflows must be rejected, not panic.
 func TestApplyCopyOverflow(t *testing.T) {
 	w := codec.NewWriter(32)
-	w.UVarint(1)                  // declared target length
-	w.U8(opCopy)                  // COPY ...
-	w.UVarint(^uint64(0))         // off = 2^64-1
-	w.UVarint(2)                  // n = 2: off+n wraps to 1
+	w.UVarint(1)          // declared target length
+	w.U8(opCopy)          // COPY ...
+	w.UVarint(^uint64(0)) // off = 2^64-1
+	w.UVarint(2)          // n = 2: off+n wraps to 1
 	if _, err := Apply([]byte("0123456789"), w.Bytes()); err == nil {
 		t.Fatal("overflowing copy bounds accepted")
 	}

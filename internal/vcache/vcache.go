@@ -11,16 +11,19 @@
 // entry records the vid it resolved to, which for a specific reference
 // is v itself.
 //
-// Correctness does not rely on invalidation. Every entry is tagged with
-// the (storage shard, commit epoch) it was read at, and a lookup only
-// hits when the reader's own pinned (shard, epoch) pair matches
-// exactly. A commit advances the shard's epoch, making every entry
-// cached under the previous epoch unreachable — a stale latest or a
-// stale materialisation can never be served, it can only age out. The
-// shard slot in the tag covers the reshard corner where an object moves
-// to a different physical shard whose independent epoch counter
-// happens to coincide with the old one, so a live reshard never serves
-// stale placement.
+// An entry stays valid until its own object changes. Every entry is
+// tagged with the (storage shard, commit epoch) of the snapshot that
+// filled it, and the cache keeps, per shard slot, a table of epoch
+// marks indexed by a hash of the oid. A writer calls Invalidate with
+// the epoch its commit will take before that epoch can be published,
+// raising the object's mark. A probe hits only when the entry's shard
+// is the reader's, its epoch is no newer than the reader's, and the
+// object's mark is no newer than the entry's epoch. A fill from a
+// snapshot older than the mark is therefore never served, however late
+// it lands. Objects sharing a mark stripe only cost each other misses.
+// The shard slot in the tag covers reshard moves: a move marks the
+// object on both shards, and an entry filled on one shard never serves
+// a reader routed to another, whose epoch counter is independent.
 //
 // The cache is safe for concurrent use. Get copies content out and Put
 // copies content in, so callers can never alias cache-owned bytes.
@@ -31,12 +34,21 @@ import (
 	"sync/atomic"
 
 	"ode/internal/oid"
+	"ode/internal/storage"
 )
 
 // entryOverhead approximates the bookkeeping bytes charged per entry on
 // top of its content, so caches full of tiny payloads still respect the
 // byte budget.
 const entryOverhead = 104
+
+// markBits sizes each shard slot's mark table: 1<<markBits epoch marks,
+// 8 KiB. More stripes mean fewer misses from objects sharing a mark,
+// but every written shard pays the table in each cache instance.
+const markBits = 10
+
+// marks is one shard slot's table of per-object epoch marks.
+type marks [1 << markBits]atomic.Uint64
 
 type key struct {
 	o oid.OID
@@ -78,6 +90,10 @@ type Cache struct {
 	// range only land in the aggregate counters.
 	shardHits   []atomic.Uint64
 	shardMisses []atomic.Uint64
+
+	// marks holds each shard slot's mark table, created when the shard
+	// is first written. Marks only rise and are never reset.
+	marks [storage.MaxSlots]atomic.Pointer[marks]
 }
 
 // Stats is a point-in-time snapshot of cache counters.
@@ -123,6 +139,50 @@ func (c *Cache) bucketOf(k key) *bucket {
 	return c.buckets[h&uint64(len(c.buckets)-1)]
 }
 
+// mark returns o's epoch mark on shard: 0 while the shard has never
+// been written, and the maximum for a slot beyond the id space, so
+// nothing is ever cached there.
+func (c *Cache) mark(o oid.OID, shard int) uint64 {
+	if shard < 0 || shard >= len(c.marks) {
+		return ^uint64(0)
+	}
+	t := c.marks[shard].Load()
+	if t == nil {
+		return 0
+	}
+	return t[markIndex(o)].Load()
+}
+
+// markIndex hashes an oid onto its stripe (Fibonacci hashing: the
+// product's top bits depend on every bit of the oid, so consecutive
+// per-shard counter values spread over the whole table).
+func markIndex(o oid.OID) uint64 {
+	return (uint64(o) * 0x9E3779B97F4A7C15) >> (64 - markBits)
+}
+
+// Invalidate raises o's mark on shard to w, the epoch the calling
+// writer's commit will take: from then on no entry of o filled on that
+// shard at an epoch below w is served, and no such fill is stored. The
+// writer must call it before epoch w can be published to readers.
+// Marks only rise; a mark left by an aborted writer just costs misses.
+func (c *Cache) Invalidate(o oid.OID, shard int, w uint64) {
+	if shard < 0 || shard >= len(c.marks) {
+		return
+	}
+	t := c.marks[shard].Load()
+	if t == nil {
+		c.marks[shard].CompareAndSwap(nil, new(marks))
+		t = c.marks[shard].Load()
+	}
+	m := &t[markIndex(o)]
+	for {
+		cur := m.Load()
+		if cur >= w || m.CompareAndSwap(cur, w) {
+			return
+		}
+	}
+}
+
 func (c *Cache) count(shard int, hit bool) {
 	all, per := &c.misses, c.shardMisses
 	if hit {
@@ -135,19 +195,21 @@ func (c *Cache) count(shard int, hit bool) {
 }
 
 // Get returns the resolved vid and a copy of the content for the
-// reference (o, v) if an entry exists AND was stored at exactly the
-// caller's (shard, epoch). An entry found under the same shard but an
-// older epoch is provably stale (epochs only advance) and is deleted on
-// the way out; a probe from an older epoch or another shard slot misses
-// without evicting the fresh entry.
+// reference (o, v) to a reader pinned at (shard, epoch) if an entry
+// exists that was filled on that shard at an epoch no newer than the
+// reader's and o's mark there has not risen above the fill. An entry
+// whose mark has risen above its epoch can never be served again and is
+// deleted on the way out; a probe from an older epoch or another shard
+// slot misses without evicting a live entry.
 func (c *Cache) Get(o oid.OID, v oid.VID, shard int, epoch uint64) (oid.VID, []byte, bool) {
 	k := key{o, v}
 	b := c.bucketOf(k)
 	b.mu.Lock()
 	e, ok := b.m[k]
-	if !ok || e.shard != shard || e.epoch != epoch {
+	dead := ok && c.mark(o, e.shard) > e.epoch
+	if !ok || dead || e.shard != shard || e.epoch > epoch {
 		var freed int64
-		if ok && e.shard == shard && e.epoch < epoch {
+		if dead {
 			b.remove(e)
 			freed = e.cost()
 		}
@@ -165,11 +227,14 @@ func (c *Cache) Get(o oid.OID, v oid.VID, shard int, epoch uint64) (oid.VID, []b
 }
 
 // Put stores a copy of content as the reference (o, v)'s resolution to
-// vid, tagged with (shard, epoch), evicting least-recently-used entries
-// until the bucket fits its budget.
+// vid, read by a snapshot pinned at (shard, epoch), evicting
+// least-recently-used entries until the bucket fits its budget. It
+// stores nothing when o's mark is already above epoch (the fill is
+// stale) or when it would replace an entry filled on the same shard at
+// a newer epoch.
 func (c *Cache) Put(o oid.OID, v oid.VID, shard int, epoch uint64, vid oid.VID, content []byte) {
 	cost := int64(len(content)) + entryOverhead
-	if cost > c.capPer {
+	if cost > c.capPer || c.mark(o, shard) > epoch {
 		return
 	}
 	e := &entry{k: key{o, v}, shard: shard, epoch: epoch, vid: vid, content: append([]byte(nil), content...)}
@@ -177,6 +242,10 @@ func (c *Cache) Put(o oid.OID, v oid.VID, shard int, epoch uint64, vid oid.VID, 
 	b.mu.Lock()
 	delta := cost
 	if old, ok := b.m[e.k]; ok {
+		if old.shard == shard && old.epoch > epoch {
+			b.mu.Unlock()
+			return
+		}
 		b.remove(old)
 		delta -= old.cost()
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ode/internal/oid"
@@ -49,35 +51,132 @@ func TestEpochTagMismatchNeverServes(t *testing.T) {
 	c := New(1<<20, 1, 8)
 	c.Put(7, latest, 0, 5, 42, []byte("v5"))
 
-	// Newer reader epoch on the same shard: entry is provably stale,
-	// must miss AND be dropped.
-	if _, _, ok := c.Get(7, latest, 0, 6); ok {
-		t.Fatal("served entry tagged with an older epoch")
+	// Reader older than the fill: must miss but must NOT evict the
+	// entry.
+	if _, _, ok := c.Get(7, latest, 0, 4); ok {
+		t.Fatal("served an entry to a reader older than its fill")
+	}
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatal("older-epoch probe evicted a live entry")
+	}
+
+	// Newer readers hit while the object is unchanged.
+	for _, e := range []uint64{5, 6, 9} {
+		if _, _, ok := c.Get(7, latest, 0, e); !ok {
+			t.Fatalf("reader at epoch %d missed an unchanged object", e)
+		}
+	}
+
+	// A write at epoch 6: the entry is stale for every reader from 6
+	// on, must miss AND be dropped.
+	c.Invalidate(7, 0, 6)
+	for _, e := range []uint64{6, 9} {
+		if _, _, ok := c.Get(7, latest, 0, e); ok {
+			t.Fatalf("served an epoch-5 entry at epoch %d after a write at 6", e)
+		}
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("stale entry not dropped: %+v", st)
 	}
 
-	// Older reader epoch: must miss but must NOT evict the fresh entry.
-	c.Put(7, latest, 0, 5, 42, []byte("v5"))
-	if _, _, ok := c.Get(7, latest, 0, 4); ok {
-		t.Fatal("served entry tagged with a newer epoch")
-	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Fatal("older-epoch probe evicted a fresh entry")
-	}
-
 	// Different shard slot, same epoch value: must miss, must not evict.
-	if _, _, ok := c.Get(7, latest, 1, 5); ok {
+	c.Put(7, latest, 0, 6, 43, []byte("v6"))
+	if _, _, ok := c.Get(7, latest, 1, 6); ok {
 		t.Fatal("served entry tagged with a different shard")
 	}
 	if st := c.Stats(); st.Entries != 1 {
 		t.Fatal("cross-shard probe evicted an entry")
 	}
 
-	// Exact tag still hits.
-	if _, _, ok := c.Get(7, latest, 0, 5); !ok {
-		t.Fatal("exact (shard, epoch) probe missed")
+	// The fill after the write hits.
+	if vid, _, ok := c.Get(7, latest, 0, 6); !ok || vid != 43 {
+		t.Fatalf("fill after the write = (%v, %v), want (43, true)", vid, ok)
+	}
+}
+
+// TestLateFillAfterInvalidateNeverServed is the race the marks close: a
+// reader pinned before a write fills the cache after the writer marked.
+func TestLateFillAfterInvalidateNeverServed(t *testing.T) {
+	for name, ref := range map[string]refKind{"generic": generic, "specific": specific} {
+		t.Run(name, func(t *testing.T) {
+			c := New(1<<20, 4, 8)
+			o, v := ref(3)
+			const w = 10
+			c.Invalidate(o, 2, w)
+			c.Put(o, v, 2, w-1, 1, []byte("pre-write content"))
+			for _, e := range []uint64{w, w + 5} {
+				if _, _, ok := c.Get(o, v, 2, e); ok {
+					t.Fatalf("late fill from epoch %d served at epoch %d", w-1, e)
+				}
+			}
+			if st := c.Stats(); st.Entries != 0 {
+				t.Fatalf("late fill stored: %+v", st)
+			}
+			// A fill at the write's epoch is current and serves.
+			c.Put(o, v, 2, w, 2, []byte("post-write content"))
+			if vid, got, ok := c.Get(o, v, 2, w+5); !ok || vid != 2 || string(got) != "post-write content" {
+				t.Fatalf("fill at the write's epoch = (%v, %q, %v)", vid, got, ok)
+			}
+		})
+	}
+}
+
+func TestInvalidateScope(t *testing.T) {
+	c := New(1<<20, 4, 8)
+	for o := oid.OID(1); o <= 64; o++ {
+		c.Put(o, latest, 0, 1, oid.VID(o), []byte("x"))
+	}
+	c.Put(1, 500, 1, 1, 500, []byte("x"))
+	c.Invalidate(1, 0, 2)
+	// Object 1's entry filled on shard 1 (its own, independent mark
+	// table) survives; so do the other objects on shard 0 outside
+	// object 1's stripe.
+	if _, _, ok := c.Get(1, 500, 1, 2); !ok {
+		t.Fatal("a write on shard 0 invalidated shard 1")
+	}
+	if _, _, ok := c.Get(1, latest, 0, 2); ok {
+		t.Fatal("written object served")
+	}
+	hits := 0
+	for o := oid.OID(2); o <= 64; o++ {
+		if _, _, ok := c.Get(o, latest, 0, 2); ok {
+			hits++
+		} else if markIndex(o) != markIndex(1) {
+			t.Fatalf("object %d outside the written stripe missed", o)
+		}
+	}
+	if hits < 56 {
+		t.Fatalf("%d of 63 untouched objects hit", hits)
+	}
+	// Marks survive Reset: a late fill after a Reset is still refused.
+	c.Reset()
+	c.Put(1, latest, 0, 1, 1, []byte("x"))
+	if _, _, ok := c.Get(1, latest, 0, 2); ok {
+		t.Fatal("Reset forgot a mark")
+	}
+	// Out-of-range slots never cache and never panic.
+	for _, s := range []int{-1, 1 << 20} {
+		c.Invalidate(1, s, 5)
+		c.Put(1, latest, s, 5, 1, []byte("x"))
+		if _, _, ok := c.Get(1, latest, s, 5); ok {
+			t.Fatalf("slot %d cached an entry", s)
+		}
+	}
+}
+
+// TestOlderFillKeepsNewerEntry: a reader pinned before another reader's
+// fill must not replace the newer entry with its older one.
+func TestOlderFillKeepsNewerEntry(t *testing.T) {
+	c := New(1<<20, 1, 8)
+	c.Put(7, latest, 0, 6, 43, []byte("v6"))
+	c.Put(7, latest, 0, 5, 42, []byte("v5"))
+	if vid, got, ok := c.Get(7, latest, 0, 6); !ok || vid != 43 || string(got) != "v6" {
+		t.Fatalf("got (%d, %q, %v), want the epoch-6 fill", vid, got, ok)
+	}
+	// A fill for another shard slot replaces it (placement moved).
+	c.Put(7, latest, 1, 2, 44, []byte("moved"))
+	if vid, _, ok := c.Get(7, latest, 1, 2); !ok || vid != 44 {
+		t.Fatal("fill on the new shard slot not stored")
 	}
 }
 
@@ -183,17 +282,22 @@ func TestGetPutRoundTrip(t *testing.T) {
 func TestEpochAndShardTagMismatch(t *testing.T) {
 	c := New(1<<20, 1, 0)
 	c.Put(9, 9, 1, 5, 9, []byte("v-at-epoch-5"))
-	// Same shard, newer epoch: stale entry must not be served and must
-	// be dropped.
+	// Reader older than the fill: must miss.
+	if _, _, ok := c.Get(9, 9, 1, 4); ok {
+		t.Fatal("served an entry to a reader older than its fill")
+	}
+	// Same shard, after a write at epoch 6: stale entry must not be
+	// served and must be dropped.
+	c.Invalidate(9, 1, 6)
 	if _, _, ok := c.Get(9, 9, 1, 6); ok {
-		t.Fatal("served entry from an older epoch")
+		t.Fatal("served an entry filled before the object changed")
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("stale entry not dropped: %+v", st)
 	}
 	// Same epoch number, different shard slot (reshard coincidence).
-	c.Put(9, 9, 1, 5, 9, []byte("v"))
-	if _, _, ok := c.Get(9, 9, 2, 5); ok {
+	c.Put(9, 9, 1, 6, 9, []byte("v"))
+	if _, _, ok := c.Get(9, 9, 2, 6); ok {
 		t.Fatal("served entry tagged for another shard")
 	}
 }
@@ -333,38 +437,97 @@ func TestConcurrentAccess(t *testing.T) { hammer(t, generic) }
 // TestConcurrent mixes both reference kinds in one instance.
 func TestConcurrent(t *testing.T) { hammer(t, generic, specific) }
 
+// hammerShard models one storage shard for hammer: a writer mutex, the
+// published epoch readers pin, and the epochs each object was written
+// at, so the content any snapshot must see is known.
+type hammerShard struct {
+	writer    sync.Mutex
+	published atomic.Uint64
+	mu        sync.RWMutex
+	writes    map[oid.OID][]uint64 // ascending commit epochs
+}
+
+// lastWrite returns the epoch of o's newest write visible at epoch e
+// (0 when none is).
+func (s *hammerShard) lastWrite(o oid.OID, e uint64) uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ws := s.writes[o]
+	i := sort.Search(len(ws), func(i int) bool { return ws[i] > e })
+	if i == 0 {
+		return 0
+	}
+	return ws[i-1]
+}
+
 // hammer drives the cache from many goroutines under -race, with the
 // given reference kinds on shard slots inside and outside the tracked
-// range, and checks every hit returns the exact vid and bytes stored
-// for that key and tag.
+// range. Writer goroutines commit like the engine does: under the
+// shard's writer mutex, Invalidate at the next epoch, then publish it.
+// Readers pin a published epoch (sometimes an older one), fill with the
+// content that snapshot sees and check every hit returns exactly the
+// content of the object's newest write visible at the reader's epoch —
+// so no hit ever carries content filled before the object's last mark.
 func hammer(t *testing.T, kinds ...refKind) {
 	t.Helper()
 	c := New(64<<10, 4, 2)
-	content := func(o oid.OID, v oid.VID, shard int, epoch uint64) []byte {
-		return []byte(fmt.Sprintf("content-%d-%d-%d-%d", o, v, shard, epoch))
+	var shards [4]hammerShard
+	for i := range shards {
+		shards[i].writes = map[oid.OID][]uint64{}
+	}
+	content := func(o oid.OID, v oid.VID, shard int, written uint64) []byte {
+		return []byte(fmt.Sprintf("content-%d-%d-%d-%d", o, v, shard, written))
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 400; i++ {
+				o, _ := generic(uint64(rng.Intn(16)))
+				shard := rng.Intn(4)
+				s := &shards[shard]
+				s.writer.Lock()
+				e := s.published.Load() + 1
+				c.Invalidate(o, shard, e)
+				s.mu.Lock()
+				s.writes[o] = append(s.writes[o], e)
+				s.mu.Unlock()
+				s.published.Store(e)
+				s.writer.Unlock()
+			}
+		}(int64(100 + w))
+	}
+	for r := 0; r < 8; r++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2000; i++ {
 				o, v := kinds[rng.Intn(len(kinds))](uint64(rng.Intn(16)))
-				shard, epoch := rng.Intn(4), uint64(rng.Intn(4))
-				vid := oid.VID(uint64(o)*10 + epoch)
+				shard := rng.Intn(4)
+				s := &shards[shard]
+				epoch := s.published.Load()
+				epoch -= min(epoch, uint64(rng.Intn(3))) // sometimes an older pin
+				written := s.lastWrite(o, epoch)
+				vid := oid.VID(uint64(o)*1000 + written)
+				want := content(o, v, shard, written)
 				if rng.Intn(2) == 0 {
-					c.Put(o, v, shard, epoch, vid, content(o, v, shard, epoch))
+					c.Put(o, v, shard, epoch, vid, want)
 				} else if gotVid, got, ok := c.Get(o, v, shard, epoch); ok {
-					if want := content(o, v, shard, epoch); gotVid != vid || !bytes.Equal(got, want) {
-						panic(fmt.Sprintf("hit returned (%d, %q), want (%d, %q)", gotVid, got, vid, want))
+					if gotVid != vid || !bytes.Equal(got, want) {
+						panic(fmt.Sprintf("hit at epoch %d returned (%d, %q), want (%d, %q)", epoch, gotVid, got, vid, want))
 					}
 				}
 			}
-		}(int64(w))
+		}(int64(r))
 	}
 	wg.Wait()
 	st := c.Stats()
+	if st.Hits == 0 {
+		t.Fatal("no hits: the hammer exercised nothing")
+	}
 	if st.Bytes < 0 || st.Bytes > 64<<10 {
 		t.Fatalf("byte accounting out of range: %+v", st)
 	}
@@ -400,9 +563,11 @@ func TestGenericAndSpecificSideBySide(t *testing.T) {
 		}
 	}
 
-	// A commit makes v12 latest: the reader at epoch 2 drops the stale
-	// generic entry and caches the new latest; the specific entries
+	// A commit at epoch 2 makes v12 latest: the reader at epoch 2 drops
+	// the stale generic entry and caches the new latest; the specific
+	// entries share the object's mark, so they stop serving too, and
 	// stay until probed themselves.
+	c.Invalidate(5, 0, 2)
 	if _, _, ok := c.Get(5, latest, 0, 2); ok {
 		t.Fatal("stale latest served after the epoch advanced")
 	}
@@ -416,11 +581,16 @@ func TestGenericAndSpecificSideBySide(t *testing.T) {
 	if _, _, ok := c.Get(5, 10, 0, 2); ok {
 		t.Fatal("specific entry from epoch 1 served at epoch 2")
 	}
-	if vid, _, ok := c.Get(5, 11, 0, 1); !ok || vid != 11 {
-		t.Fatal("a reader still pinned at epoch 1 lost v11")
-	}
 	if st := c.Stats(); st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2 (v11 and the new latest)", st.Entries)
+		t.Fatalf("entries = %d, want 2 (v11 not yet probed and the new latest)", st.Entries)
+	}
+	// The marked object's old entries cost even a reader still pinned
+	// at epoch 1 a miss (the new latest is too new for it).
+	if _, _, ok := c.Get(5, 11, 0, 1); ok {
+		t.Fatal("served an entry of a written object filled before its mark")
+	}
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("entries = %d, want 1 (the new latest)", st.Entries)
 	}
 	c.Reset()
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
